@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from . import group_models as gm
 from .numerics import (
+    WIDE_REAL,
     as_wide_complex,
     one_minus_sq_norm,
     rng_from_seed,
@@ -30,21 +31,28 @@ def _coords(z):
     return np.asarray(z, dtype=np.complex128).reshape(-1)
 
 
-def _cosh_minus_one(a, b):
-    """cosh(dist) - 1 for all pairs, via the cancellation-free difference form.
+def _cosh_minus_one(a, b, ga, gb):
+    """Numerator of cosh^2(dist) - 1 for broadcast rows a, b with gaps ga, gb.
 
-    The closed form has cosh^2(dist) = |1 - <z,w>|^2 / ((1-|z|^2)(1-|w|^2));
-    subtracting 1 through that route loses half the working digits for nearby
-    points.  Instead the numerator-minus-denominator difference is computed
-    exactly as |z-w|^2 minus the Gram defect sum_{i<j} |z_i w_j - z_j w_i|^2
-    (a Lagrange identity), so coinciding points give exactly 0 and tiny
-    distances keep full relative accuracy.
+    The closed form has cosh^2(dist) - 1 = N / (ga gb) with
+    N = |1 - <z,w>|^2 - (1-|z|^2)(1-|w|^2) and ga = 1-|z|^2, gb = 1-|w|^2;
+    forming N as that difference cancels for nearby points.  By the Lagrange
+    identity N = |z-w|^2 minus the Gram determinant of (z, w), which equals
+    the Gram determinant of (d, s) with d = z - w, s = (z+w)/2, so
+    N = |d|^2 (1 - |s|^2) + |<d,s>|^2: two non-negative terms, O(m) work per
+    pair.  The parallelogram law gives 1 - |s|^2 = (ga + gb)/2 + |d|^2/4,
+    again without cancellation.  Coinciding points give exactly 0, tiny
+    distances keep full relative accuracy, and swapping z and w only flips
+    the sign of d, so the result is bitwise symmetric.  a and b are wide
+    complex arrays whose last axis is the coordinate.
     """
-    diff_sq = (np.abs(a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-    minors = a[:, None, :, None] * b[None, :, None, :] \
-        - a[:, None, None, :] * b[None, :, :, None]
-    gram_defect = 0.5 * (np.abs(minors) ** 2).sum(axis=(-2, -1))
-    return diff_sq - gram_defect
+    d = a - b
+    two_s_conj = np.conj(a) + np.conj(b)
+    d_parts = d.view(WIDE_REAL)
+    d_sq = np.einsum("...k,...k->...", d_parts, d_parts)
+    d_dot_2s = np.einsum("...k,...k->...", d, two_s_conj)
+    s_gap = 0.5 * (ga + gb) + 0.25 * d_sq
+    return d_sq * s_gap + 0.25 * (d_dot_2s.real ** 2 + d_dot_2s.imag ** 2)
 
 
 def _acosh_from_excess(excess):
@@ -62,14 +70,14 @@ def dist_matrix(points_a, points_b):
     b = as_wide_complex(np.atleast_2d(points_b))
     if a.shape[1] != b.shape[1]:
         raise InputError("dist_matrix needs point batches of equal dimension")
-    ga = one_minus_sq_norm(a)
-    gb = one_minus_sq_norm(b)
-    numerator_excess = _cosh_minus_one(a, b)
-    out = np.full(numerator_excess.shape, np.inf)
-    ok = (ga[:, None] > 0) & (gb[None, :] > 0)
+    ga = one_minus_sq_norm(a)[:, None]
+    gb = one_minus_sq_norm(b)[None, :]
+    numerator = _cosh_minus_one(a[:, None, :], b[None, :, :], ga, gb)
+    out = np.full(numerator.shape, np.inf)
+    ok = (ga > 0) & (gb > 0)
     if np.any(ok):
-        den = ga[:, None] * gb[None, :]
-        out[ok] = _acosh_from_excess(numerator_excess[ok] / den[ok])
+        den = ga * gb
+        out[ok] = _acosh_from_excess(numerator[ok] / den[ok])
     return out
 
 
@@ -183,13 +191,9 @@ class HausdorffEstimate:
 def _max_adjacent(points):
     if points.shape[0] < 2:
         return 0.0
-    a = as_wide_complex(points[:-1])
-    b = as_wide_complex(points[1:])
-    ga = one_minus_sq_norm(a)
-    gb = one_minus_sq_norm(b)
-    diff_sq = (np.abs(a - b) ** 2).sum(axis=-1)
-    minors = a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]
-    excess = (diff_sq - 0.5 * (np.abs(minors) ** 2).sum(axis=(-2, -1))) / (ga * gb)
+    p = as_wide_complex(points)
+    g = one_minus_sq_norm(p)
+    excess = _cosh_minus_one(p[:-1], p[1:], g[:-1], g[1:]) / (g[:-1] * g[1:])
     return float(_acosh_from_excess(excess).max())
 
 
@@ -229,12 +233,31 @@ class RadialBoundConstants:
         return 2.0 * self.D + self.beta + self.base_offset
 
 
-def _offset_point(point, direction, radius):
-    """Move `point` hyperbolic distance `radius` along a transported direction."""
-    if radius <= 0.0:
-        return point
-    move = gm.inverse(gm.transport_to_origin(point))
-    return gm.apply_ball(move, np.tanh(radius) * direction)
+def _boost(t, x):
+    """The flow a_t of `cartan` on the rows of x, in closed form.
+
+    a_t(x) = (x1 cosh t + sinh t, x') / (x1 sinh t + cosh t); t is a scalar
+    or one flow time per row.  The denominator is at least 1 - |x1|, so it
+    never vanishes on the open ball.
+    """
+    t = np.reshape(t, (-1, 1))
+    ch, sh = np.cosh(t), np.sinh(t)
+    x1 = x[:, :1]
+    return np.concatenate([x1 * ch + sh, x[:, 1:]], axis=1) / (x1 * sh + ch)
+
+
+def _offset_samples(k, u, directions, radii):
+    """Move each base point tanh(u_i) v by hyperbolic distance radii_i.
+
+    The automorphism carrying 0 to tanh(u) v is the rotation k (the unitary
+    block of rotation_mapping_e1(v)) after the flow a_u, i.e. the inverse of
+    transport_to_origin (Rudin, Function Theory in the Unit Ball of C^n,
+    2.2), so the offset of base point i is k a_{u_i}(tanh(radii_i)
+    directions_i), evaluated for all samples at once.  transport_to_origin(0)
+    is the identity, so a sample at u = 0 stays unrotated.
+    """
+    moved = _boost(u, np.tanh(radii)[:, None] * directions)
+    return np.where(u[:, None] > 0, moved @ k.T, moved)
 
 
 def _perp_direction(rng, v):
@@ -276,15 +299,14 @@ def estimate_morse_constant(m, alpha, beta, R, trials, seed, *,
         param_breaks = np.concatenate([[0.0], np.cumsum(param_lengths)])
         p = np.linspace(0.0, param_breaks[-1], samples)
         u = np.interp(p, param_breaks, geo_breaks)
-        base = np.tanh(u)[:, None] * v
+        k = gm.rotation_mapping_e1(v).matrix[:-1, :-1]
 
-        dirs = [_perp_direction(rng, v) for _ in range(samples)]
+        dirs = np.array([_perp_direction(rng, v) for _ in range(samples)])
         radii = rng.random(samples) * 0.49 * beta
         end_cap = min(R, 0.49 * beta)
         radii[0] = rng.random() * end_cap
         radii[-1] = rng.random() * end_cap
-        pts = np.array([_offset_point(base[i], dirs[i], float(radii[i]))
-                        for i in range(samples)])
+        pts = _offset_samples(k, u, dirs, radii)
         curve = SampledCurve("ball", p, pts)
 
         # double-stored samples carry cosh^2(t) * eps positional noise, so an
@@ -296,8 +318,7 @@ def estimate_morse_constant(m, alpha, beta, R, trials, seed, *,
             # jitter bounded by beta/2 certifies by the triangle inequality;
             # halving is a safety net for borderline roundoff only
             radii *= 0.5
-            pts = np.array([_offset_point(base[i], dirs[i], float(radii[i]))
-                            for i in range(samples)])
+            pts = _offset_samples(k, u, dirs, radii)
             curve = SampledCurve("ball", p, pts)
             cert = certify_quasi_geodesic(curve, alpha, beta)
             shrink += 1
@@ -308,16 +329,15 @@ def estimate_morse_constant(m, alpha, beta, R, trials, seed, *,
         d_ab = dist_ball(a, b)
         if d_ab <= 0.0:
             continue
-        to_zero = gm.transport_to_origin(a) if np.linalg.norm(a) > 0 else None
-        if to_zero is None:
-            w = b / np.linalg.norm(b)
-            geo_pts = np.tanh(np.linspace(0.0, d_ab, samples))[:, None] * w
-        else:
-            image = gm.apply_ball(to_zero, b)
-            w = image / np.linalg.norm(image)
-            back = gm.inverse(to_zero)
-            geo_pts = gm._mobius_apply(
-                back.matrix, np.tanh(np.linspace(0.0, d_ab, samples))[:, None] * w)
-        geodesic = SampledCurve("ball", np.linspace(0.0, d_ab, samples), geo_pts)
+        # the geodesic from a to b is k_a a_t of the radial one from 0 to
+        # a_{-t}(k_a^* b), where k_a a_t carries 0 to a
+        r_a = float(np.linalg.norm(a))
+        t_a = np.arctanh(r_a)
+        k_a = gm.rotation_mapping_e1(a / r_a).matrix[:-1, :-1] if r_a > 0 else np.eye(m)
+        image = _boost(-t_a, (b @ k_a.conj())[None, :])[0]
+        w = image / np.linalg.norm(image)
+        arc = np.linspace(0.0, d_ab, samples)
+        geo_pts = _boost(t_a, np.tanh(arc)[:, None] * w) @ k_a.T
+        geodesic = SampledCurve("ball", arc, geo_pts)
         best = max(best, hausdorff_pseudo_distance(curve, geodesic).value)
     return float(best)

@@ -48,11 +48,6 @@ def one_minus_norm(points):
     return gap2 / (WIDE_ONE + nrm)
 
 
-def wide_matmul(a, b):
-    """Matrix product accumulated in extended precision."""
-    return as_wide_complex(a) @ as_wide_complex(b)
-
-
 # --- deterministic sampling -------------------------------------------------
 
 def rng_from_seed(seed):

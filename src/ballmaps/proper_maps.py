@@ -199,10 +199,6 @@ def as_transformed(f):
     return TransformedMap.from_spec(f)
 
 
-def map_eval(f, z):
-    return f.eval(z)
-
-
 # --- boundary Lipschitz constant and the additive constant -------------------
 
 @dataclass(frozen=True)
