@@ -64,16 +64,9 @@ def _load_curve(path):
 def _resolve_map(args):
     if getattr(args, "spec_file", None):
         return pm.load_map_spec(args.spec_file)
-    name = args.map
-    if name is None:
+    if args.map is None:
         raise InputError("provide --map or --spec-file")
-    if name == "linear":
-        return pm.catalog("linear", m=args.m, M=args.M)
-    if name == "whitney":
-        return pm.catalog("whitney")
-    if name == "power":
-        return pm.catalog("power", m=args.m, d=args.d)
-    raise InputError(f"unknown catalog map {name!r}")
+    return pm.catalog(args.map, m=args.m, M=args.M, d=args.d)
 
 
 def _fmt(x):
@@ -122,22 +115,23 @@ def cmd_radial_sweep(args):
         raise InputError("t values must lie in [0, 1)")
 
     C = pm.lipschitz_boundary_constant(f).C
-    beta = pm.beta_constant(f, C)
-    f0 = f.eval(np.zeros(m, dtype=complex))
-    base = kb.dist_ball(np.zeros(f.M), f0)
+    base = pm.base_offset(f)
+    beta = pm._beta(C, base)
     D = kb.estimate_morse_constant(f.M, 1.0, beta, base, args.morse_trials, args.seed) \
         if args.morse_trials > 0 else 0.0
     constants = kb.RadialBoundConstants(C=C, D=D, base_offset=base)
 
-    rows = []
-    sup = 0.0
-    for i, v in enumerate(directions):
-        fv = f.eval(v)
-        fv = fv / np.linalg.norm(fv)
-        for t in t_values:
-            dev = kb.dist_ball(f.eval(t * v), t * fv)
-            sup = max(sup, dev)
-            rows.append((i, t, dev))
+    # one evaluation per point set; each row is the arithmetic of a lone point
+    # (norm(axis=1) would sum in another order than the per-row norm)
+    fv = f.eval(directions)
+    fv = fv / np.array([np.linalg.norm(row) for row in fv])[:, None]
+    ts = np.array(t_values)[None, :, None]
+    deviations = kb.dist_rows(f.eval((ts * directions[:, None, :]).reshape(-1, m)),
+                              (ts * fv[:, None, :]).reshape(-1, f.M))
+    deviations = deviations.reshape(len(directions), len(t_values))
+    rows = [(i, t, float(dev)) for i, devs in enumerate(deviations)
+            for t, dev in zip(t_values, devs)]
+    sup = max([0.0] + [dev for _, _, dev in rows])
 
     if args.format == "json":
         doc = {

@@ -64,15 +64,22 @@ def _acosh_from_excess(excess):
                       dtype=np.float64)
 
 
-def dist_matrix(points_a, points_b):
-    """All pairwise distances between two (n, m) batches; inf off the open ball."""
-    a = as_wide_complex(np.atleast_2d(points_a))
-    b = as_wide_complex(np.atleast_2d(points_b))
-    if a.shape[1] != b.shape[1]:
-        raise InputError("dist_matrix needs point batches of equal dimension")
-    ga = one_minus_sq_norm(a)[:, None]
-    gb = one_minus_sq_norm(b)[None, :]
-    numerator = _cosh_minus_one(a[:, None, :], b[None, :, :], ga, gb)
+def dist_rows(points_a, points_b):
+    """Distances between matched rows of two broadcastable (..., m) arrays.
+
+    Leading axes broadcast as in NumPy, the last axis is the coordinate; a
+    row pair with a point off the open ball gets inf.
+    """
+    a = as_wide_complex(points_a)
+    b = as_wide_complex(points_b)
+    if a.shape[-1] != b.shape[-1]:
+        raise InputError("distances need point batches of equal dimension")
+    return _dist_from_gaps(a, b, one_minus_sq_norm(a), one_minus_sq_norm(b))
+
+
+def _dist_from_gaps(a, b, ga, gb):
+    """dist_rows on wide rows whose gaps 1 - |row|^2 are already formed."""
+    numerator = _cosh_minus_one(a, b, ga, gb)
     out = np.full(numerator.shape, np.inf)
     ok = (ga > 0) & (gb > 0)
     if np.any(ok):
@@ -81,13 +88,20 @@ def dist_matrix(points_a, points_b):
     return out
 
 
+def dist_matrix(points_a, points_b):
+    """All pairwise distances between two (n, m) batches; inf off the open ball."""
+    a = np.atleast_2d(points_a)
+    b = np.atleast_2d(points_b)
+    return dist_rows(a[:, None, :], b[None, :, :])
+
+
 def dist_ball(z, w):
     """Distance between two points of the ball; inf signals a boundary input.
 
     The infinite value is a signal distinct from a numeric error: boundary
     points are legitimate inputs at infinite distance from the interior.
     """
-    return float(dist_matrix(_coords(z)[None, :], _coords(w)[None, :])[0, 0])
+    return float(dist_rows(_coords(z), _coords(w)))
 
 
 @dataclass(frozen=True)
@@ -158,21 +172,23 @@ class QuasiGeodesicCertificate:
 
 
 def certify_quasi_geodesic(curve, alpha, beta):
-    """Check the (alpha, beta) inequalities on all O(n^2) sampled pairs."""
+    """Check the (alpha, beta) inequalities on all n(n-1)/2 sampled pairs."""
     if alpha < 1.0 or beta < 0.0:
         raise InputError("need alpha >= 1 and beta >= 0")
     curve = curve.to_ball()
     if len(curve) < 2:
         raise InputError("certify_quasi_geodesic needs at least 2 samples")
-    d = dist_matrix(curve.points, curve.points)
-    gaps = np.abs(curve.params[:, None] - curve.params[None, :])
+    # only the pairs i < j; each sample's gap is formed once, not per pair
+    i, j = np.triu_indices(len(curve), k=1)
+    p = as_wide_complex(curve.points)
+    g = one_minus_sq_norm(p)
+    d = _dist_from_gaps(p[i], p[j], g[i], g[j])
+    gaps = np.abs(curve.params[i] - curve.params[j])
     upper = d - (alpha * gaps + beta)
     lower = (gaps / alpha - beta) - d
-    viol = np.maximum(upper, lower)
-    iu = np.triu_indices(len(curve), k=1)
-    flat = viol[iu]
+    flat = np.maximum(upper, lower)
     worst = int(np.argmax(flat))
-    pair = (float(curve.params[iu[0][worst]]), float(curve.params[iu[1][worst]]))
+    pair = (float(curve.params[i[worst]]), float(curve.params[j[worst]]))
     return QuasiGeodesicCertificate(float(alpha), float(beta), float(flat[worst]), pair)
 
 
@@ -191,10 +207,7 @@ class HausdorffEstimate:
 def _max_adjacent(points):
     if points.shape[0] < 2:
         return 0.0
-    p = as_wide_complex(points)
-    g = one_minus_sq_norm(p)
-    excess = _cosh_minus_one(p[:-1], p[1:], g[:-1], g[1:]) / (g[:-1] * g[1:])
-    return float(_acosh_from_excess(excess).max())
+    return float(dist_rows(points[:-1], points[1:]).max())
 
 
 def hausdorff_pseudo_distance(curve_a, curve_b):

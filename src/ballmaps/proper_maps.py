@@ -225,13 +225,9 @@ def lipschitz_boundary_constant(f, grid_density=64, *, radii_count=24, seed=11):
     dirs.append(unit_vectors(rng_from_seed(seed), grid_density, m))
     directions = np.concatenate([np.atleast_2d(d) for d in dirs], axis=0)
     radii = 1.0 - np.logspace(-1, -8, radii_count)
-    best = 0.0
-    for r in radii:
-        pts = r * directions
-        num = one_minus_norm(f.eval(pts))
-        den = one_minus_norm(pts)
-        best = max(best, float(np.max((num / den).astype(np.float64))))
-    return LipschitzConstant(best, directions.shape[0] * radii_count)
+    pts = (radii[:, None, None] * directions).reshape(-1, m)
+    ratio = (one_minus_norm(f.eval(pts)) / one_minus_norm(pts)).astype(np.float64)
+    return LipschitzConstant(max(0.0, float(np.max(ratio))), pts.shape[0])
 
 
 def beta_constant(f, C):
@@ -244,8 +240,18 @@ def beta_constant(f, C):
     if C < estimate * (1.0 - 1e-9):
         raise InputError(
             f"C = {C:.6g} is below the boundary Lipschitz estimate {estimate:.6g}")
-    f0 = f.eval(np.zeros(f.m, dtype=complex))
-    return 0.5 * math.log(2.0 * C) + kb.dist_ball(np.zeros(f.M), f0)
+    return _beta(C, base_offset(f))
+
+
+def base_offset(f):
+    """dist(0, f(0)), the offset of the image of the origin."""
+    f = as_transformed(f)
+    return kb.dist_ball(np.zeros(f.M), f.eval(np.zeros(f.m, dtype=complex)))
+
+
+def _beta(C, base):
+    """0.5 log(2C) + base, for a C already known to dominate the grid estimate."""
+    return 0.5 * math.log(2.0 * C) + base
 
 
 # --- symmetry pairs ----------------------------------------------------------
@@ -476,27 +482,32 @@ class JetExpansion:
 
 
 def _fd_jet(g, step):
-    """Central finite-difference value/first/second at 0 (independent oracle)."""
+    """Central finite-difference value/first/second at 0 (independent oracle).
+
+    The whole stencil, 1 + 2m + 2m(m-1) points, goes through one g.eval.
+    """
     m = g.m
     h = step
     e = np.eye(m)
-    f0 = g.eval(np.zeros(m, dtype=complex))
+    mixed_pairs = list(itertools.combinations(range(m), 2))
+    stencil = [np.zeros(m)]
+    stencil += [h * e[k] for k in range(m)]
+    stencil += [-h * e[k] for k in range(m)]
+    for k, l in mixed_pairs:
+        stencil += [h * e[k] + h * e[l], h * e[k] - h * e[l],
+                    -h * e[k] + h * e[l], -h * e[k] - h * e[l]]
+    values = g.eval(np.array(stencil, dtype=complex))
+    f0, plus, minus = values[0], values[1:1 + m], values[1 + m:1 + 2 * m]
+    corners = values[1 + 2 * m:].reshape(-1, 4, g.M)
     first = np.zeros((g.M, m), dtype=complex)
     second = np.zeros((g.M, m, m), dtype=complex)
-    plus = [g.eval(h * e[k]) for k in range(m)]
-    minus = [g.eval(-h * e[k]) for k in range(m)]
     for k in range(m):
         first[:, k] = (plus[k] - minus[k]) / (2 * h)
         second[:, k, k] = (plus[k] - 2 * f0 + minus[k]) / h**2
-    for k in range(m):
-        for l in range(k + 1, m):
-            pp = g.eval(h * e[k] + h * e[l])
-            pm = g.eval(h * e[k] - h * e[l])
-            mp = g.eval(-h * e[k] + h * e[l])
-            mm = g.eval(-h * e[k] - h * e[l])
-            mixed = (pp - pm - mp + mm) / (4 * h**2)
-            second[:, k, l] = mixed
-            second[:, l, k] = mixed
+    for (k, l), (pp, pm, mp, mm) in zip(mixed_pairs, corners):
+        mixed = (pp - pm - mp + mm) / (4 * h**2)
+        second[:, k, l] = mixed
+        second[:, l, k] = mixed
     return f0, first, second
 
 

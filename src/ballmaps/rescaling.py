@@ -708,8 +708,8 @@ def run_pipeline(f, phi_seq, psi_seq=None, *, conjugate=False, tail=3,
     if morse_trials > 0:
         with _Stage("radial_bound"):
             C = pm.lipschitz_boundary_constant(f_n).C
-            beta = pm.beta_constant(f_n, C)
-            base = kb.dist_ball(np.zeros(f_n.M), f_n.eval(np.zeros(f_n.m, dtype=complex)))
+            base = pm.base_offset(f_n)
+            beta = pm._beta(C, base)
             D = kb.estimate_morse_constant(f_n.M, 1.0, beta, base, morse_trials, morse_seed)
             constants = kb.RadialBoundConstants(C=C, D=D, base_offset=base)
             within = all(idx.compactness_dist <= constants.bound for idx in trace.indices)
