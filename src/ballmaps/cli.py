@@ -116,7 +116,7 @@ def cmd_radial_sweep(args):
 
     C = pm.lipschitz_boundary_constant(f).C
     base = pm.base_offset(f)
-    beta = pm._beta(C, base)
+    beta = kb.quasi_geodesic_beta(C, base)
     D = kb.estimate_morse_constant(f.M, 1.0, beta, base, args.morse_trials, args.seed) \
         if args.morse_trials > 0 else 0.0
     constants = kb.RadialBoundConstants(C=C, D=D, base_offset=base)
@@ -184,7 +184,7 @@ def cmd_rescale(args):
     phis, psis = _build_sequence_args(args, f)
     result = rs.run_pipeline(
         f, phis, psis, conjugate=args.allow_non_member,
-        tail=args.tail, membership_tol=args.tol, allow_non_escaping=False,
+        tail=args.tail, membership_tol=args.tol,
         morse_trials=args.morse_trials, seed=args.seed)
     nf = result.normal_form
     print(f"lambda {nf.lam:.6g}  (phase residual {nf.residuals.lambda_phase:.3g})")

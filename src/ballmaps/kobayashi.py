@@ -10,6 +10,7 @@ them at points with 1 - |z| down to 1e-12, where double precision would lose
 the gap entirely.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +223,11 @@ def hausdorff_pseudo_distance(curve_a, curve_b):
     return HausdorffEstimate(max(directed_ab, directed_ba), slack)
 
 
+def quasi_geodesic_beta(C, base):
+    """0.5 log(2C) + base, for a map's boundary Lipschitz constant C and base = dist(0, f(0))."""
+    return 0.5 * math.log(2.0 * C) + base
+
+
 @dataclass(frozen=True)
 class RadialBoundConstants:
     """Constants entering the radial-deviation bound 2D + beta + dist(0, f(0)).
@@ -239,7 +245,7 @@ class RadialBoundConstants:
 
     @property
     def beta(self):
-        return 0.5 * np.log(2.0 * self.C) + self.base_offset
+        return quasi_geodesic_beta(self.C, self.base_offset)
 
     @property
     def bound(self):

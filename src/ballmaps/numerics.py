@@ -10,10 +10,23 @@ round once at the end.
 
 import numpy as np
 
+from .errors import NumericError
+
 WIDE_REAL = np.longdouble
 WIDE_COMPLEX = np.clongdouble
 
 WIDE_ONE = WIDE_REAL(1.0)
+
+
+def check_wide_precision(dtype):
+    """Fail loudly where longdouble is plain double (Windows, macOS arm64)."""
+    eps = float(np.finfo(dtype).eps)
+    if eps > 1e-18:
+        raise NumericError(f"{np.dtype(dtype).name} has eps {eps:.3g} > 1e-18; "
+                           "ballmaps needs an extended-precision longdouble")
+
+
+check_wide_precision(WIDE_REAL)
 
 
 def as_wide_complex(a):

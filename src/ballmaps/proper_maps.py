@@ -240,18 +240,13 @@ def beta_constant(f, C):
     if C < estimate * (1.0 - 1e-9):
         raise InputError(
             f"C = {C:.6g} is below the boundary Lipschitz estimate {estimate:.6g}")
-    return _beta(C, base_offset(f))
+    return kb.quasi_geodesic_beta(C, base_offset(f))
 
 
 def base_offset(f):
     """dist(0, f(0)), the offset of the image of the origin."""
     f = as_transformed(f)
     return kb.dist_ball(np.zeros(f.M), f.eval(np.zeros(f.m, dtype=complex)))
-
-
-def _beta(C, base):
-    """0.5 log(2C) + base, for a C already known to dominate the grid estimate."""
-    return 0.5 * math.log(2.0 * C) + base
 
 
 # --- symmetry pairs ----------------------------------------------------------

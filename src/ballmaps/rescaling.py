@@ -49,7 +49,7 @@ from .numerics import (
 )
 
 FLOW_PARAMETER_CAP = 18.0
-DEFAULT_GAP_THRESHOLD = 1e-2
+GAP_THRESHOLD = 1e-2
 PATTERN_TOL = 1e-6
 
 # The ball flow a_t acts on Siegel coordinates as the dilation with
@@ -115,44 +115,54 @@ def cartan_sequence(m, M, n_values):
     return pairs
 
 
-def _certify_pairs(f, pairs, tol, sample_count, seed):
-    residuals = []
-    for phi, psi in pairs:
-        sp = pm.verify_symmetry_pair(f, phi.as_double(), psi.as_double(),
-                                     sample_count=sample_count, seed=seed)
-        residuals.append(sp.residual)
+def _origin_image(g):
+    return gm._mobius_apply(as_wide_complex(g.matrix), np.zeros(g.dim, dtype=WIDE_COMPLEX))
+
+
+def _pair_residuals(f, phi_seq, psi_seq, seed):
+    return [pm.verify_symmetry_pair(f, phi.as_double(), psi.as_double(),
+                                    sample_count=64, seed=seed).residual
+            for phi, psi in zip(phi_seq, psi_seq)]
+
+
+def _certify_pairs(f, phi_seq, psi_seq, tol, seed):
+    residuals = _pair_residuals(f, phi_seq, psi_seq, seed)
     worst = max(residuals)
     if worst > tol:
         raise SymmetryError("sequence is not certified in the symmetry group of the map", worst)
     return residuals
 
 
-def normalize_map(f, phi_seq, psi_seq, *, residual_tol=pm.SYMMETRY_TOL,
-                  sample_count=64, seed=29):
+def _recentre(f, psi_seq):
+    """Post-compose f with the transport sending f(0) to 0 and conjugate
+    psi_seq (None passes through) by it, so pairs stay symmetries of f."""
+    f0 = f.eval(np.zeros(f.m, dtype=complex))
+    if float(np.linalg.norm(f0)) <= 1e-14:
+        return f, psi_seq
+    tau = gm.transport_to_origin(f0)
+    tau_inv = gm.inverse(tau)
+    if psi_seq is not None:
+        psi_seq = [gm.compose(tau, psi, tau_inv) for psi in psi_seq]
+    return f.with_postcomposition(tau), psi_seq
+
+
+def normalize_map(f, phi_seq, psi_seq, *, residual_tol=pm.SYMMETRY_TOL):
     """Arrange f(0) = 0 and align the escape directions with e1 and e1'.
 
-    Certifies the pairs, post-composes with the transport sending f(0) to 0,
-    conjugates the sequence accordingly, then pre/post-rotates so the final
-    sequence element's orbit directions land on the first basis vectors.
-    Returns the transformed map and sequence; certification is re-verified.
+    Certifies the input pairs, recentres f(0) to 0 (conjugating psi to
+    match), then pre/post-rotates so the final sequence element's orbit
+    directions land on the first basis vectors.  Returns the transformed
+    map and pairs; build_sequence certifies the transformed pairs.
     """
     f = pm.as_transformed(f)
     phi_seq, psi_seq = list(phi_seq), list(psi_seq)
     if not phi_seq or len(phi_seq) != len(psi_seq):
         raise InputError("normalize_map needs nonempty sequences of equal length")
-    pairs = list(zip(phi_seq, psi_seq))
-    _certify_pairs(f, pairs, residual_tol, sample_count, seed)
+    _certify_pairs(f, phi_seq, psi_seq, residual_tol, seed=29)
+    f, psi_seq = _recentre(f, psi_seq)
 
-    f0 = f.eval(np.zeros(f.m, dtype=complex))
-    if float(np.linalg.norm(f0)) > 1e-14:
-        tau = gm.transport_to_origin(f0)
-        tau_inv = gm.inverse(tau)
-        f = f.with_postcomposition(tau)
-        pairs = [(phi, gm.compose(tau, psi, tau_inv)) for phi, psi in pairs]
-
-    phi_last, psi_last = pairs[-1]
-    x = gm._mobius_apply(phi_last.as_double().matrix, np.zeros(f.m, dtype=complex))
-    y = gm._mobius_apply(psi_last.as_double().matrix, np.zeros(f.M, dtype=complex))
+    x = gm._mobius_apply(phi_seq[-1].as_double().matrix, np.zeros(f.m, dtype=complex))
+    y = gm._mobius_apply(psi_seq[-1].as_double().matrix, np.zeros(f.M, dtype=complex))
     r1 = (gm.rotation_mapping_e1(x / np.linalg.norm(x))
           if np.linalg.norm(x) > 1e-8 else gm.Automorphism.identity(f.m))
     r2 = (gm.rotation_mapping_e1(y / np.linalg.norm(y))
@@ -160,9 +170,7 @@ def normalize_map(f, phi_seq, psi_seq, *, residual_tol=pm.SYMMETRY_TOL,
     r1_inv, r2_inv = gm.inverse(r1), gm.inverse(r2)
     f = f.with_precomposition(r1).with_postcomposition(r2_inv)
     pairs = [(gm.compose(r1_inv, phi, r1), gm.compose(r2_inv, psi, r2))
-             for phi, psi in pairs]
-
-    _certify_pairs(f, pairs, max(residual_tol, 1e-8), sample_count, seed)
+             for phi, psi in zip(phi_seq, psi_seq)]
     return f, pairs
 
 
@@ -174,34 +182,31 @@ class EscapeReport:
     psi_gaps: tuple
     monotone: bool
     escaped: bool
-    gap_threshold: float
 
 
-def escape_check(phi_seq, psi_seq=None, *, f=None, gap_threshold=DEFAULT_GAP_THRESHOLD):
+def escape_check(phi_seq, psi_seq=None, *, f=None):
     """Verify the orbit of 0 escapes to the boundary along the sequence.
 
     psi orbits come from psi_seq when given, otherwise from f(phi_n(0)).
     A non-escaping sequence is reported, not raised; pipelines that need the
     limit raise DiagnosticError on a negative report.
     """
-    phi_gaps = []
+    phi0 = [_origin_image(phi) for phi in phi_seq]
+    if psi_seq is not None and len(psi_seq) != len(phi0):
+        raise InputError("phi and psi sequences must have equal length")
+    phi_gaps = [float(one_minus_norm(p)) for p in phi0]
     psi_gaps = []
-    for i, phi in enumerate(phi_seq):
-        p = gm._mobius_apply(as_wide_complex(phi.matrix), np.zeros(phi.dim, dtype=complex))
-        phi_gaps.append(float(one_minus_norm(p)))
-        if psi_seq is not None:
-            q = gm._mobius_apply(as_wide_complex(psi_seq[i].matrix),
-                                 np.zeros(psi_seq[i].dim, dtype=complex))
-            psi_gaps.append(float(one_minus_norm(q)))
-        elif f is not None:
-            psi_gaps.append(float(one_minus_norm(f.eval(p))))
+    if psi_seq is not None:
+        psi_gaps = [float(one_minus_norm(_origin_image(psi))) for psi in psi_seq]
+    elif f is not None:
+        psi_gaps = [float(one_minus_norm(f.eval(p))) for p in phi0]
     gaps = np.asarray(phi_gaps)
     monotone = bool(np.all(np.diff(gaps) < 1e-15)) if gaps.size > 1 else True
-    escaped = monotone and gaps[-1] <= gap_threshold and gaps[-1] > 0
+    escaped = monotone and gaps[-1] <= GAP_THRESHOLD and gaps[-1] > 0
     if psi_gaps:
-        escaped = escaped and psi_gaps[-1] <= math.sqrt(gap_threshold) and psi_gaps[-1] > 0
+        escaped = escaped and psi_gaps[-1] <= math.sqrt(GAP_THRESHOLD) and psi_gaps[-1] > 0
     return EscapeReport(tuple(phi_gaps), tuple(psi_gaps) if psi_gaps else None,
-                        monotone, bool(escaped), gap_threshold)
+                        monotone, bool(escaped))
 
 
 # --- trace construction ---------------------------------------------------------
@@ -239,9 +244,7 @@ class RescalingTrace:
 
 
 def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
-                   membership_tol=pm.SYMMETRY_TOL, membership_samples=64,
-                   allow_non_escaping=False, boundary_tol=1e-9,
-                   conj_samples=20, seed=31):
+                   membership_tol=pm.SYMMETRY_TOL, allow_non_escaping=False, seed=31):
     """Construct the recentred maps h_n, g_n and their boundary jets.
 
     In 'sequence' mode (the default) g_n = beta_n o f o alpha_n^{-1} and the
@@ -256,8 +259,6 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
     psi_seq = list(psi_seq) if psi_seq is not None else None
     if not phi_seq:
         raise InputError("build_sequence needs a nonempty sequence")
-    if psi_seq is not None and len(psi_seq) != len(phi_seq):
-        raise InputError("phi and psi sequences must have equal length")
     if not conjugate and psi_seq is None:
         raise InputError("sequence mode needs the psi sequence")
 
@@ -272,21 +273,15 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
 
     residuals = [None] * len(phi_seq)
     if not conjugate:
-        residuals = _certify_pairs(f, list(zip(phi_seq, psi_seq)),
-                                   membership_tol, membership_samples, seed)
+        residuals = _certify_pairs(f, phi_seq, psi_seq, membership_tol, seed)
     elif psi_seq is not None:
-        residuals = [pm.verify_symmetry_pair(f, phi.as_double(), psi.as_double(),
-                                             sample_count=membership_samples,
-                                             seed=seed).residual
-                     for phi, psi in zip(phi_seq, psi_seq)]
+        residuals = _pair_residuals(f, phi_seq, psi_seq, seed)
 
-    conj_pts = siegel_interior_points(rng_from_seed(seed), conj_samples, m, scale=0.25)
-    zeros_m = np.zeros(m, dtype=complex)
-    zeros_M = np.zeros(M, dtype=complex)
+    conj_pts = siegel_interior_points(rng_from_seed(seed), 20, m, scale=0.25)
     indices = []
     for i, phi in enumerate(phi_seq):
         phi_w = gm.Automorphism(as_wide_complex(phi.matrix))
-        p = gm._mobius_apply(phi_w.matrix, zeros_m.astype(WIDE_COMPLEX))
+        p = gm._mobius_apply(phi_w.matrix, np.zeros(m, dtype=WIDE_COMPLEX))
         r = np.sqrt((np.abs(p) ** 2).sum().real)
         if float(r) <= 0:
             raise InputError("sequence element fixes 0; no flow parameter exists")
@@ -296,27 +291,26 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
                 f"flow parameter {float(t):.3g} exceeds the cap {FLOW_PARAMETER_CAP}; "
                 "the boundary gap underflows beyond it")
         v = p / r
-        k_n = gm.Automorphism(_rotation_matrix_wide(v))
+        k_n = gm.rotation_mapping_e1(v, dtype=WIDE_COMPLEX)
         fv = f.eval(v)
         fv_gap = abs(float(one_minus_norm(fv)))
-        if fv_gap > boundary_tol:
+        if fv_gap > 1e-9:
             raise InputError(
                 f"map is not proper enough at the sequence direction: | |f(v)|-1 | = {fv_gap:.3g}")
-        l_n = gm.Automorphism(_rotation_matrix_wide(fv / np.sqrt((np.abs(fv) ** 2).sum().real)))
+        l_n = gm.rotation_mapping_e1(fv / np.sqrt((np.abs(fv) ** 2).sum().real),
+                                     dtype=WIDE_COMPLEX)
 
         a_t_m = gm.cartan(t, m, dtype=WIDE_COMPLEX)
         a_mt_M = gm.cartan(-t, M, dtype=WIDE_COMPLEX)
         l_inv = gm.inverse(l_n)
-        k_inv = gm.inverse(k_n)
 
         pre_conj = gm.compose(k_n, a_t_m)
         post_conj = gm.compose(a_mt_M, l_inv)
         if conjugate:
             pre_g, post_g = pre_conj, post_conj
         else:
-            psi_w = gm.Automorphism(as_wide_complex(psi_seq[i].matrix))
             pre_g = gm.compose(gm.inverse(phi_w), pre_conj)
-            post_g = gm.compose(post_conj, psi_w)
+            post_g = gm.compose(post_conj, gm.Automorphism(as_wide_complex(psi_seq[i].matrix)))
 
         h_map = f.with_precomposition(k_n).with_postcomposition(l_inv)
         g_map = f.with_precomposition(pre_g).with_postcomposition(post_g)
@@ -337,13 +331,9 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
                     - pm.siegel_conjugate(other).eval(conj_pts))
             conj_residual = float(np.max(np.linalg.norm(diff, axis=1)))
 
-        if psi_seq is not None:
-            psi0 = gm._mobius_apply(as_wide_complex(psi_seq[i].matrix),
-                                    zeros_M.astype(WIDE_COMPLEX))
-        else:
-            psi0 = f.eval(gm._mobius_apply(phi_w.matrix, zeros_m.astype(WIDE_COMPLEX)))
+        psi0 = _origin_image(psi_seq[i]) if psi_seq is not None else f.eval(p)
         compact_pt = gm._mobius_apply(post_conj.matrix, psi0)
-        compactness = kb.dist_ball(zeros_M, compact_pt.astype(np.complex128))
+        compactness = kb.dist_ball(np.zeros(M), compact_pt.astype(np.complex128))
 
         indices.append(TraceIndex(
             order=i,
@@ -363,13 +353,6 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
         ))
     return RescalingTrace(m, M, "conjugate" if conjugate else "sequence",
                           tuple(indices), f)
-
-
-def _rotation_matrix_wide(first_column):
-    dim = np.asarray(first_column).reshape(-1).shape[0]
-    mat = np.eye(dim + 1, dtype=WIDE_COMPLEX)
-    mat[:dim, :dim] = gm._unitary_completion(first_column)
-    return mat
 
 
 # --- verification against the scaling tables ------------------------------------
@@ -496,60 +479,41 @@ _SECOND_CLASSES = (
 )
 
 
-def quadratic_normal_form(jet, *, tol_pattern=PATTERN_TOL, phase_tol=1e-6):
+def quadratic_normal_form(jet):
     """Assert the limit vanishing pattern and extract (lambda, U, L).
 
     The only coefficients allowed to survive are the value-preserving
     diagonal blocks: d[g]_1/dz_1 (the dilation), the (j>=2, k>=2) first-order
     block (U), and the (j=1; k,l>=2) second-order block (L).  Any other
-    coefficient above tol_pattern raises PatternViolationError naming its
-    class; the dilation must be real positive up to phase_tol.
+    coefficient above PATTERN_TOL raises PatternViolationError naming its
+    class; the dilation must be real positive up to a phase of 1e-6.
     """
     first, second = jet.first, jet.second
-    violations = []
-    value_mag = float(np.max(np.abs(jet.value))) if jet.value.size else 0.0
-    if value_mag > tol_pattern:
-        violations.append(("value", value_mag))
-    for name, pick in _FIRST_CLASSES:
-        block = np.asarray(pick(first)).reshape(-1)
-        if block.size:
-            mag = float(np.max(np.abs(block)))
-            if mag > tol_pattern:
-                violations.append((name, mag))
-    for name, pick in _SECOND_CLASSES:
-        block = np.asarray(pick(second)).reshape(-1)
-        if block.size:
-            mag = float(np.max(np.abs(block)))
-            if mag > tol_pattern:
-                violations.append((name, mag))
+    classes = [("value", float(np.max(np.abs(jet.value))) if jet.value.size else 0.0)]
+    for arr, table in ((first, _FIRST_CLASSES), (second, _SECOND_CLASSES)):
+        for name, pick in table:
+            block = np.asarray(pick(arr)).reshape(-1)
+            if block.size:
+                classes.append((name, float(np.max(np.abs(block)))))
+    violations = [(name, mag) for name, mag in classes if mag > PATTERN_TOL]
     if violations:
         name, mag = max(violations, key=lambda nv: nv[1])
         raise PatternViolationError(name, mag)
 
     lam_hat = complex(first[0, 0])
-    if abs(lam_hat) <= tol_pattern:
+    if abs(lam_hat) <= PATTERN_TOL:
         raise NumericError("degenerate limit: the dilation coefficient vanishes")
     phase = abs(lam_hat.imag) / abs(lam_hat)
-    if phase > phase_tol:
+    if phase > 1e-6:
         raise NumericError(f"dilation coefficient is not real: phase residual {phase:.3g}")
     if lam_hat.real <= 0:
         raise NumericError("dilation coefficient is not positive")
-
-    suppressed = [value_mag]
-    for name, pick in _FIRST_CLASSES:
-        block = np.asarray(pick(first)).reshape(-1)
-        if block.size:
-            suppressed.append(float(np.max(np.abs(block))))
-    for name, pick in _SECOND_CLASSES:
-        block = np.asarray(pick(second)).reshape(-1)
-        if block.size:
-            suppressed.append(float(np.max(np.abs(block))))
 
     U = first[1:, 1:].copy()
     L = 0.5 * second[0, 1:, 1:].copy()
     return QuadraticNormalForm(
         lam=float(lam_hat.real), U=U, L=L,
-        residuals=NormalFormResiduals(vanishing_pattern=max(suppressed),
+        residuals=NormalFormResiduals(vanishing_pattern=max(mag for _, mag in classes),
                                       lambda_phase=phase))
 
 
@@ -565,15 +529,15 @@ class BoundaryResiduals:
     unitarity: float
 
 
-def verify_boundary_identity(nf, samples=200, theta_count=16, seed=37):
+def verify_boundary_identity(nf):
     dim = nf.U.shape[1]
     if dim == 0:
         return BoundaryResiduals(0.0, 0.0)
-    rng = rng_from_seed(seed)
+    rng = rng_from_seed(37)
     w = np.concatenate([np.eye(dim, dtype=complex),
-                        unit_vectors(rng, samples, dim) * rng.random((samples, 1))])
+                        unit_vectors(rng, 200, dim) * rng.random((200, 1))])
     quad = np.einsum("kl,nk,nl->n", nf.L, w, w)
-    thetas = np.linspace(0.0, np.pi, theta_count, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, 16, endpoint=False)
     phases = np.exp(2j * thetas)
     im_L = float(np.max(np.abs(np.imag(phases[:, None] * quad[None, :]))))
     norms_U = (np.abs(w @ nf.U.T) ** 2).sum(axis=1)
@@ -591,8 +555,7 @@ class FinalNormalization:
     unitarity_defect: float
 
 
-def final_normalization(nf, limit, *, samples=50, sample_scale=0.3,
-                        boundary_tol=1e-8, seed=41):
+def final_normalization(nf, limit):
     """Complete U/sqrt(lambda) to a unitary and flatten the limit to (z, 0).
 
     `limit` is the limit map: a JetExpansion (evaluated as its quadratic
@@ -601,7 +564,7 @@ def final_normalization(nf, limit, *, samples=50, sample_scale=0.3,
     A o (dilation by log lambda) o g against the linear embedding.
     """
     bres = verify_boundary_identity(nf)
-    if max(bres.im_L, bres.unitarity) > boundary_tol * max(1.0, nf.lam):
+    if max(bres.im_L, bres.unitarity) > 1e-8 * max(1.0, nf.lam):
         raise InputError(
             f"boundary identity residuals too large for flattening: "
             f"im_L={bres.im_L:.3g}, unitarity={bres.unitarity:.3g}")
@@ -618,7 +581,7 @@ def final_normalization(nf, limit, *, samples=50, sample_scale=0.3,
     A = gm.Automorphism(a_mat)
 
     m = nf.U.shape[1] + 1
-    pts = siegel_interior_points(rng_from_seed(seed), samples, m, scale=sample_scale)
+    pts = siegel_interior_points(rng_from_seed(41), 50, m, scale=0.3)
     if isinstance(limit, pm.JetExpansion):
         values = pm.jet_quadratic_eval(limit, pts)
     else:
@@ -664,31 +627,24 @@ class _Stage:
 
 
 def run_pipeline(f, phi_seq, psi_seq=None, *, conjugate=False, tail=3,
-                 membership_tol=pm.SYMMETRY_TOL, allow_non_escaping=False,
-                 morse_trials=0, morse_seed=53, seed=31):
+                 membership_tol=pm.SYMMETRY_TOL, morse_trials=0, seed=31):
     """normalize -> escape gate -> build -> scaling law -> limit -> normal form -> flatten.
 
     Every failure carries the name of the stage it occurred in.
     """
     with _Stage("normalize_map"):
         if conjugate:
-            f_n = pm.as_transformed(f)
-            f0 = f_n.eval(np.zeros(f_n.m, dtype=complex))
-            if float(np.linalg.norm(f0)) > 1e-14:
-                f_n = f_n.with_postcomposition(gm.transport_to_origin(f0))
-            pairs_phi = list(phi_seq)
-            pairs_psi = list(psi_seq) if psi_seq is not None else None
+            f_n, pairs_psi = _recentre(pm.as_transformed(f), psi_seq)
+            pairs_phi = phi_seq
+        elif psi_seq is None:
+            raise InputError("sequence mode needs the psi sequence")
         else:
-            if psi_seq is None:
-                raise InputError("sequence mode needs the psi sequence")
             f_n, pairs = normalize_map(f, phi_seq, psi_seq, residual_tol=membership_tol)
-            pairs_phi = [p for p, _ in pairs]
-            pairs_psi = [q for _, q in pairs]
+            pairs_phi, pairs_psi = zip(*pairs)
 
     with _Stage("build_sequence"):
         trace = build_sequence(f_n, pairs_phi, pairs_psi, conjugate=conjugate,
-                               membership_tol=membership_tol,
-                               allow_non_escaping=allow_non_escaping, seed=seed)
+                               membership_tol=membership_tol, seed=seed)
     with _Stage("verify_scaling_law"):
         scaling_error = verify_scaling_law(trace)
     with _Stage("extract_limit_jet"):
@@ -709,8 +665,8 @@ def run_pipeline(f, phi_seq, psi_seq=None, *, conjugate=False, tail=3,
         with _Stage("radial_bound"):
             C = pm.lipschitz_boundary_constant(f_n).C
             base = pm.base_offset(f_n)
-            beta = pm._beta(C, base)
-            D = kb.estimate_morse_constant(f_n.M, 1.0, beta, base, morse_trials, morse_seed)
+            beta = kb.quasi_geodesic_beta(C, base)
+            D = kb.estimate_morse_constant(f_n.M, 1.0, beta, base, morse_trials, 53)
             constants = kb.RadialBoundConstants(C=C, D=D, base_offset=base)
             within = all(idx.compactness_dist <= constants.bound for idx in trace.indices)
     return PipelineResult(f_n, trace, scaling_error, limit_jet, convergence,

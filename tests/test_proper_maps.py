@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import ballmaps as bm
 from ballmaps import group_models as gm
+from ballmaps import kobayashi as kb
 from ballmaps import proper_maps as pm
 from ballmaps.errors import InputError, NumericError
 from ballmaps.numerics import rng_from_seed, siegel_interior_points, unit_vectors
@@ -99,6 +102,16 @@ class TestBetaConstant:
     def test_too_small_C_rejected(self):
         with pytest.raises(InputError):
             bm.beta_constant(bm.catalog("linear", m=2, M=4), 0.5)
+
+    def test_one_formula_for_printed_beta_and_bound(self):
+        # math.log and np.log round a few arguments differently; at such a C
+        # two copies of the formula would print a beta that disagrees with
+        # the one inside the bound
+        grid = (1.0 + 3.0 * np.arange(4096) / 4096).tolist()
+        split = [c for c in grid if math.log(2.0 * c) != float(np.log(2.0 * c))]
+        C = split[0] if split else 2.5
+        assert (kb.RadialBoundConstants(C, 0.0, 0.0).beta
+                == pm.beta_constant(bm.catalog("linear", m=2, M=4), C))
 
 
 class TestSymmetryPairs:

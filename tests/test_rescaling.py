@@ -278,6 +278,27 @@ class TestQuadraticNormalForm:
             rs.quadratic_normal_form(bad)
         assert info.value.coefficient_class == "second j>=2,k=l=1"
 
+    @pytest.mark.parametrize("m,M", [(1, 1), (2, 3), (3, 5)])
+    def test_vanishing_pattern_is_max_over_every_class(self, m, M):
+        # every coefficient with a nonzero scaling exponent belongs to a
+        # suppressed class; all sit below the threshold, so none raises
+        profile = rs.scaling_profile(m, M)
+        rng = rng_from_seed(60 + m)
+        for _ in range(8):
+            scale = rs.PATTERN_TOL * rng.random(4)
+            value = scale[0] * (rng.random(M) - 0.5)
+            first = scale[1] * (rng.random((M, m)) - 0.5) * (1 + 1j)
+            second = scale[2] * (rng.random((M, m, m)) - 0.5) * (1 - 1j)
+            first[profile.first_exponents == 0] = 1.0
+            second[profile.second_exponents == 0] = 0.3
+            jet = pm.JetExpansion(gm.SiegelPoint(np.zeros(m)), value, first, second)
+            reference = max(
+                [float(np.max(np.abs(jet.value)))]
+                + [float(np.max(np.abs(a[e != 0])))
+                   for a, e in ((jet.first, profile.first_exponents),
+                                (jet.second, profile.second_exponents)) if (e != 0).any()])
+            assert rs.quadratic_normal_form(jet).residuals.vanishing_pattern == reference
+
     def test_dilation_two_passes_form_stage(self):
         # a doubled radial derivative is a legal form; it fails downstream
         # when the boundary identity compares |Uw| with sqrt(lambda)|w|
@@ -372,6 +393,37 @@ class TestPipeline:
                                  conjugate=True)
         assert abs(result.normal_form.lam - 1.0) <= 1e-9
         assert result.final.flatten_residual <= 1e-9
+
+    def test_conjugate_route_recentres_psi_with_f(self):
+        # f(0) != 0: the transport moving f(0) to 0 must conjugate psi too,
+        # or the recorded pairs stop being symmetries of the recentred map
+        f = bm.catalog("linear", m=2, M=4)
+        shift = gm.inverse(gm.transport_to_origin(np.array([0.3 + 0.1j, 0.0, -0.2j, 0.05])))
+        shift_inv = gm.inverse(shift)
+        f_shift = pm.as_transformed(f).with_postcomposition(shift)
+        phis, psis = cartan_pairs(2, 4, range(1, 9))
+        psis = [gm.compose(shift, q, shift_inv) for q in psis]
+        conj = rs.run_pipeline(f_shift, phis, psis, conjugate=True).trace
+        seq = rs.run_pipeline(f_shift, phis, psis).trace
+        for c, s in zip(conj.indices, seq.indices):
+            assert c.symmetry_residual <= 1e-9
+            assert c.compactness_dist <= 1e-9
+            assert c.psi_gap == s.psi_gap
+
+    def test_sequence_mode_certifies_each_pair_twice(self, monkeypatch):
+        # once on the input pairs (normalize_map), once on the recentred
+        # pairs (build_sequence)
+        calls = []
+        original = pm.verify_symmetry_pair
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pm, "verify_symmetry_pair", counting)
+        phis, psis = cartan_pairs(2, 4, range(1, 7))
+        rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis)
+        assert len(calls) == 2 * len(phis)
 
     def test_stage_names_in_errors(self):
         phis, psis = cartan_pairs(2, 3, range(1, 5))
