@@ -99,6 +99,8 @@ def cmd_dist(args):
 
 
 def cmd_radial_sweep(args):
+    if args.directions < 1:
+        raise InputError(f"--directions must be at least 1, got {args.directions}")
     spec = _resolve_map(args)
     f = pm.as_transformed(spec)
     rng = rng_from_seed(args.seed)
@@ -108,7 +110,10 @@ def cmd_radial_sweep(args):
         dirs.append(unit_vectors(rng, args.directions - 1, m))
     directions = np.concatenate([np.atleast_2d(d) for d in dirs], axis=0)
     if args.t_grid:
-        t_values = [float(x) for x in args.t_grid.split(",")]
+        try:
+            t_values = [float(x) for x in args.t_grid.split(",")]
+        except ValueError as exc:
+            raise InputError(f"cannot parse --t-grid {args.t_grid!r}: {exc}") from exc
     else:
         t_values = [1.0 - 10.0 ** (-k) for k in range(1, 7)]
     if any(t < 0 or t >= 1 for t in t_values):
@@ -128,8 +133,8 @@ def cmd_radial_sweep(args):
     ts = np.array(t_values)[None, :, None]
     deviations = kb.dist_rows(f.eval((ts * directions[:, None, :]).reshape(-1, m)),
                               (ts * fv[:, None, :]).reshape(-1, f.M))
-    deviations = deviations.reshape(len(directions), len(t_values))
-    rows = [(i, t, float(dev)) for i, devs in enumerate(deviations)
+    deviations = deviations.reshape(len(directions), len(t_values)).tolist()
+    rows = [(i, t, dev) for i, devs in enumerate(deviations)
             for t, dev in zip(t_values, devs)]
     sup = max([0.0] + [dev for _, _, dev in rows])
 
@@ -141,15 +146,13 @@ def cmd_radial_sweep(args):
             "C": C, "beta": beta, "base_offset": base,
             "D": D, "bound": constants.bound,
         }
-        text = json.dumps(doc, indent=1) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        # one line: a one-shot dumps without indent runs the C encoder
+        _write_lines(args.out, [json.dumps(doc)])
     else:
+        t_text = [_fmt(t) for t in t_values]
         lines = ["# ballmaps radial_sweep v1: direction,t,deviation"]
-        lines += [f"{i},{_fmt(t)},{_fmt(dev)}" for i, t, dev in rows]
+        lines += [f"{i},{t},{_fmt(dev)}" for i, devs in enumerate(deviations)
+                  for t, dev in zip(t_text, devs)]
         lines.append(f"# sup={_fmt(sup)} C={_fmt(C)} beta={_fmt(beta)} "
                      f"D={_fmt(D)} bound={_fmt(constants.bound)}")
         _write_lines(args.out, lines)
@@ -172,7 +175,9 @@ def _build_sequence_args(args, f):
         try:
             phis = [gm.Automorphism(_json_to_complex(pair["phi"])) for pair in doc["pairs"]]
             psis = [gm.Automorphism(_json_to_complex(pair["psi"])) for pair in doc["pairs"]]
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            if isinstance(exc, InputError):
+                raise
             raise InputError(f"malformed sequence file {args.seq_file}: {exc}") from exc
         return phis, psis
     raise InputError(f"unknown sequence kind {args.seq!r}")
@@ -205,7 +210,7 @@ def cmd_rescale(args):
 def cmd_report(args):
     with open(args.trace) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "ballmaps-trace-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "ballmaps-trace-v1":
         raise InputError(f"{args.trace} is not a trace document")
     nf = doc["normal_form"]
     print(f"trace: {doc['m']} -> {doc['M']}, mode {doc['mode']}, "

@@ -753,6 +753,12 @@ def trace_document(result):
 
 
 def save_trace(result, path):
+    """Write the trace document as one line of JSON.
+
+    A one-shot ``json.dumps`` without indent runs the C encoder; it prints
+    floats by ``float.__repr__`` like the streaming one.  The text is encoded
+    before the file is opened, so a failure leaves an existing trace intact.
+    """
+    text = json.dumps(trace_document(result)) + "\n"
     with open(path, "w") as fh:
-        json.dump(trace_document(result), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)

@@ -63,15 +63,43 @@ class TestRadialSweep:
         assert max(axis_devs) <= 1e-9
 
     def test_json_format(self, capsys, tmp_path):
+        args = ["radial-sweep", "--map", "power", "--m", "2", "--d", "2",
+                "--directions", "2", "--morse-trials", "2"]
         out_path = tmp_path / "sweep.json"
-        code, _, _ = run(capsys, [
-            "radial-sweep", "--map", "power", "--m", "2", "--d", "2",
-            "--directions", "2", "--morse-trials", "2", "--format", "json",
-            "--out", str(out_path)])
+        csv_path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, args + ["--format", "json", "--out", str(out_path)])
         assert code == 0
-        doc = json.loads(out_path.read_text())
+        text = out_path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        doc = json.loads(text)
         assert doc["C"] >= 1.0
         assert doc["bound"] >= doc["beta"]
+        # the same command in csv: 17 significant digits round-trip exactly
+        assert run(capsys, args + ["--out", str(csv_path)])[0] == 0
+        lines = csv_path.read_text().splitlines()
+        csv_rows = [(int(i), float(t), float(dev)) for i, t, dev in
+                    (line.split(",") for line in lines if not line.startswith("#"))]
+        json_rows = [(r["direction"], r["t"], r["deviation"]) for r in doc["rows"]]
+        assert json_rows == csv_rows
+        summary = dict(item.split("=") for item in lines[-1][2:].split())
+        for key, json_key in (("sup", "sup_deviation"), ("C", "C"), ("beta", "beta"),
+                              ("D", "D"), ("bound", "bound")):
+            assert float(summary[key]) == doc[json_key]
+
+    def test_t_grid_parse_error_exit(self, capsys):
+        code, _, err = run(capsys, [
+            "radial-sweep", "--map", "linear", "--m", "2", "--M", "4",
+            "--directions", "2", "--morse-trials", "0", "--t-grid", "0.5,abc"])
+        assert code == 2
+        assert "--t-grid" in err
+
+    def test_directions_must_be_positive(self, capsys):
+        for count in ("0", "-3"):
+            code, _, err = run(capsys, [
+                "radial-sweep", "--map", "linear", "--m", "2", "--M", "4",
+                "--directions", count, "--morse-trials", "0"])
+            assert code == 2
+            assert "--directions" in err
 
     def test_deterministic_output(self, capsys, tmp_path):
         args = ["radial-sweep", "--map", "whitney", "--directions", "5",
@@ -134,6 +162,18 @@ class TestRescale:
         assert code == 4
         assert "escape" in err
 
+    def test_non_numeric_sequence_entry_exit(self, capsys, tmp_path):
+        seq = tmp_path / "seq.json"
+        phi = complex_json(np.eye(3, dtype=complex))
+        phi[0][0][0] = "abc"
+        seq.write_text(json.dumps({
+            "pairs": [{"phi": phi, "psi": complex_json(np.eye(5, dtype=complex))}]}))
+        code, _, err = run(capsys, [
+            "rescale", "--map", "linear", "--m", "2", "--M", "4",
+            "--seq", "custom-file", "--seq-file", str(seq)])
+        assert code == 2
+        assert "malformed sequence file" in err
+
 
 class TestReport:
     def test_summarizes_trace(self, capsys, tmp_path):
@@ -149,6 +189,13 @@ class TestReport:
         path = tmp_path / "not_trace.json"
         path.write_text("{}")
         assert run(capsys, ["report", "--trace", str(path)])[0] == 2
+
+    def test_rejects_non_object_json(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(capsys, ["report", "--trace", str(path)])
+        assert code == 2
+        assert "is not a trace document" in err
 
 
 class TestHausdorffCommand:

@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -452,3 +454,79 @@ class TestPipeline:
         assert doc["normal_form"]["flatten_residual"] == result.final.flatten_residual
         lam_col = doc["normal_form"]["U"]
         assert lam_col[0][0][0] == float(result.normal_form.U[0, 0].real)
+
+
+def assert_same_document(got, want, where="doc"):
+    """`got` (parsed JSON) equals `want` (the in-memory document): every float
+    bit for bit, so the sign of zero counts, and NaN matches any NaN."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key, value in want.items():
+            assert_same_document(got[key], value, f"{where}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_document(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert type(got) is float, (where, got)
+        if math.isnan(want):
+            assert math.isnan(got), (where, got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", want), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+class TestSavedTrace:
+    @pytest.fixture(scope="class")
+    def sequence_result(self):
+        phis, psis = cartan_pairs(2, 4, range(1, 8))
+        return rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis,
+                               morse_trials=3)
+
+    @pytest.fixture(scope="class")
+    def conjugate_result(self):
+        phis, _ = cartan_pairs(2, 4, range(1, 9))
+        return rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, None,
+                               conjugate=True)
+
+    @staticmethod
+    def saved(result, path):
+        rs.save_trace(result, path)
+        text = path.read_text()
+        # one line of JSON
+        assert text.endswith("}\n") and text.count("\n") == 1
+        return json.loads(text)
+
+    def test_sequence_mode_with_constants(self, sequence_result, tmp_path):
+        want = rs.trace_document(sequence_result)
+        assert "constants" in want and want["mode"] == "sequence"
+        assert_same_document(self.saved(sequence_result, tmp_path / "t.json"), want)
+
+    def test_conjugate_mode_without_psi(self, conjugate_result, tmp_path):
+        want = rs.trace_document(conjugate_result)
+        assert "constants" not in want and want["mode"] == "conjugate"
+        assert_same_document(self.saved(conjugate_result, tmp_path / "t.json"), want)
+
+    def test_nan_and_negative_zero(self, conjugate_result, tmp_path):
+        # no pipeline run yields these (without psi_seq the psi gaps come
+        # from f(phi_n(0))), but the writer must keep them
+        trace = conjugate_result.trace
+        first = replace(trace.indices[0], psi_gap=float("nan"), conjugation_residual=-0.0)
+        result = replace(conjugate_result,
+                         trace=replace(trace, indices=(first,) + trace.indices[1:]))
+        want = rs.trace_document(result)
+        path = tmp_path / "t.json"
+        got = self.saved(result, path)
+        assert "NaN" in path.read_text() and "-0.0" in path.read_text()
+        assert math.copysign(1.0, got["indices"][0]["conjugation_residual"]) == -1.0
+        assert_same_document(got, want)
+
+    def test_encoding_failure_keeps_existing_file(self, conjugate_result, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "t.json"
+        path.write_text("previous trace\n")
+        monkeypatch.setattr(rs, "trace_document", lambda result: {"bad": object()})
+        with pytest.raises(TypeError):
+            rs.save_trace(conjugate_result, path)
+        assert path.read_text() == "previous trace\n"
