@@ -101,6 +101,8 @@ def cmd_dist(args):
 def cmd_radial_sweep(args):
     if args.directions < 1:
         raise InputError(f"--directions must be at least 1, got {args.directions}")
+    if args.morse_trials < 0:
+        raise InputError(f"--morse-trials must be nonnegative, got {args.morse_trials}")
     spec = _resolve_map(args)
     f = pm.as_transformed(spec)
     rng = rng_from_seed(args.seed)

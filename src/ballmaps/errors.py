@@ -22,7 +22,15 @@ class SymmetryError(InputError):
 
 
 class NumericError(ArithmeticError):
-    """A computation hit an excluded point or an inconsistent result."""
+    """A computation hit an excluded point or an inconsistent result.
+
+    ``chain`` is the index of the first failing chain when the computation
+    ran a stack of chains, else None.
+    """
+
+    def __init__(self, message, chain=None):
+        super().__init__(message)
+        self.chain = chain
 
 
 class PatternViolationError(NumericError):

@@ -173,28 +173,48 @@ def verify_membership(g):
 
 
 def _mobius_apply(matrix, points, *, den_tol=1e-13):
-    """Fractional-linear action of `matrix` on an (n, m) batch of points."""
+    """Fractional-linear action of `matrix` on an (n, m) batch of points.
+
+    A stack of k matrices (k, m+1, m+1) acts matrix by matrix on (n, m)
+    points shared by the stack, or on a (k, n, m) stack of batches, and
+    gives (k, n, m_out); a single matrix acts as a stack of one.  Each matrix
+    checks its denominators against its own scale, so every slice is the
+    action of its matrix alone.
+    """
     pts = np.asarray(points)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    dim = matrix.shape[0] - 1
-    if pts.shape[1] != dim:
-        raise InputError(f"point dimension {pts.shape[1]} does not match matrix dimension {dim}")
+    dim = matrix.shape[-1] - 1
+    if pts.shape[-1] != dim:
+        raise InputError(f"point dimension {pts.shape[-1]} does not match matrix dimension {dim}")
     if pts.dtype != matrix.dtype:
         common = np.result_type(pts.dtype, matrix.dtype)
         pts = pts.astype(common)
         matrix = matrix.astype(common)
-    a = matrix[:-1, :-1]
-    b = matrix[:-1, -1]
-    c = matrix[-1, :-1]
-    d = matrix[-1, -1]
-    num = pts @ a.T + b
-    den = pts @ c + d
-    scale = float(np.max(np.abs(matrix[-1]))) * float(max(1.0, np.max(np.abs(pts)))) if pts.size else 1.0
-    if np.any(np.abs(den) <= den_tol * max(scale, 1.0)):
-        raise NumericError("fractional-linear action undefined: denominator vanishes")
-    out = num / den[:, None]
-    return out[0] if single else out
+    stacked = matrix.ndim == 3
+    if not stacked:
+        matrix = matrix[None]
+    a = matrix[:, :-1, :-1]
+    b = matrix[:, None, :-1, -1]
+    c = matrix[:, -1, :-1]
+    d = matrix[:, -1, -1]
+    # each slice takes gemm for num and gemv for den, as one 2-D matrix would
+    num = pts @ a.transpose(0, 2, 1) + b
+    den = (pts @ c[:, :, None])[..., 0] + d[:, None]
+    if pts.size:
+        top = np.max(np.abs(matrix[:, -1]), axis=-1).astype(np.float64)
+        reach = np.max(np.abs(pts), axis=(-2, -1)).astype(np.float64)
+        scale = np.maximum(top * np.maximum(reach, 1.0), 1.0)
+    else:
+        scale = np.ones(matrix.shape[0])
+    vanishing = np.any(np.abs(den) <= den_tol * scale[:, None], axis=-1)
+    if np.any(vanishing):
+        raise NumericError("fractional-linear action undefined: denominator vanishes",
+                           chain=int(np.argmax(vanishing)))
+    out = num / den[..., None]
+    if not stacked:
+        out = out[0]
+    return out[..., 0, :] if single else out
 
 
 def apply_ball(g, z):

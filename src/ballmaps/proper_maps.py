@@ -264,16 +264,27 @@ class SymmetryPair:
         return self.residual <= SYMMETRY_TOL
 
 
-def verify_symmetry_pair(f, phi, psi, sample_count=128, seed=3):
-    """Residual of psi(f(z)) - f(phi(z)) over deterministic interior samples."""
+def symmetry_residuals(f, phis, psis, sample_count=128, seed=3):
+    """Residuals of psi(f(z)) - f(phi(z)) for a stack of pairs on shared
+    deterministic interior samples.
+
+    f is evaluated on the samples once and on the images of every phi in one
+    more call; all phi and all psi act through one stacked _mobius_apply each.
+    """
     f = as_transformed(f)
-    if phi.dim != f.m or psi.dim != f.M:
+    if any(phi.dim != f.m for phi in phis) or any(psi.dim != f.M for psi in psis):
         raise InputError("symmetry pair dimensions must match the map")
     pts = interior_points(rng_from_seed(seed), sample_count, f.m, max_norm=0.95)
-    lhs = gm._mobius_apply(psi.matrix, f.eval(pts))
-    rhs = f.eval(gm._mobius_apply(phi.matrix, pts))
-    residual = float(np.max(np.linalg.norm((lhs - rhs).astype(np.complex128), axis=1)))
-    return SymmetryPair(phi, psi, residual)
+    lhs = gm._mobius_apply(np.stack([psi.matrix for psi in psis]), f.eval(pts))
+    moved = gm._mobius_apply(np.stack([phi.matrix for phi in phis]), pts)
+    rhs = f.eval(moved.reshape(-1, f.m)).reshape(lhs.shape)
+    return np.max(np.linalg.norm((lhs - rhs).astype(np.complex128), axis=-1), axis=-1)
+
+
+def verify_symmetry_pair(f, phi, psi, sample_count=128, seed=3):
+    """Residual of psi(f(z)) - f(phi(z)) over deterministic interior samples."""
+    residual = symmetry_residuals(f, [phi], [psi], sample_count, seed)
+    return SymmetryPair(phi, psi, float(residual[0]))
 
 
 def block_extend(phi, M):
@@ -297,145 +308,197 @@ def block_extend(phi, M):
 # --- Siegel-coordinate conjugates with exact 2-jets --------------------------
 
 class _MoebiusStage:
-    """One fractional-linear factor with closed-form first and second derivatives."""
+    """One fractional-linear factor per chain, with closed-form first and
+    second derivatives; `matrices` is a (n, d+1, d+1) stack."""
 
-    def __init__(self, matrix, name="moebius"):
-        self.matrix = as_wide_complex(matrix)
+    def __init__(self, matrices, name="moebius"):
+        self.matrix = as_wide_complex(matrices)
         self.name = name
-        self.dim_in = self.matrix.shape[1] - 1
-        self.dim_out = self.matrix.shape[0] - 1
+        self.dim_in = self.matrix.shape[2] - 1
+        self.dim_out = self.matrix.shape[1] - 1
 
     def value(self, pts):
         return gm._mobius_apply(self.matrix, pts)
 
     def jet(self, z):
-        a = self.matrix[:-1, :-1]
-        b = self.matrix[:-1, -1]
-        c = self.matrix[-1, :-1]
-        d = self.matrix[-1, -1]
-        num = a @ z + b
-        den = (c * z).sum() + d
-        if abs(complex(den)) <= 1e-13 * max(1.0, float(np.max(np.abs(self.matrix[-1])))):
-            raise NumericError(f"{self.name} stage undefined: denominator vanishes")
-        val = num / den
-        jac = a / den - np.outer(num, c) / den**2
+        a = self.matrix[:, :-1, :-1]
+        b = self.matrix[:, :-1, -1]
+        c = self.matrix[:, -1, :-1]
+        d = self.matrix[:, -1, -1]
+        num = (a @ z[:, :, None])[..., 0] + b
+        den = (c * z).sum(axis=-1) + d
+        # each chain against the scale of its own matrix, never the stack's
+        scale = np.maximum(1.0, np.max(np.abs(self.matrix[:, -1]), axis=-1).astype(np.float64))
+        vanishing = np.abs(den.astype(np.complex128)) <= 1e-13 * scale
+        if np.any(vanishing):
+            raise NumericError(f"{self.name} stage undefined: denominator vanishes",
+                               chain=int(np.argmax(vanishing)))
+        # np.power, not **, which squares by a path that differs on signed zeros
+        den2 = np.power(den, 2)[:, None, None]
+        den3 = np.power(den, 3)[:, None, None, None]
+        val = num / den[:, None]
+        jac = a / den[:, None, None] - num[:, :, None] * c[:, None, :] / den2
         hess = (
-            -(a[:, :, None] * c[None, None, :] + a[:, None, :] * c[None, :, None]) / den**2
-            + 2.0 * num[:, None, None] * c[None, :, None] * c[None, None, :] / den**3
+            -(a[:, :, :, None] * c[:, None, None, :] + a[:, :, None, :] * c[:, None, :, None])
+            / den2[..., None]
+            + 2.0 * num[:, :, None, None] * c[:, None, :, None] * c[:, None, None, :] / den3
         )
         return val, jac, hess
 
 
 class _PolyStage:
-    """A polynomial factor; derivatives by direct monomial differentiation."""
+    """A polynomial factor shared by every chain, compiled once into tables.
+
+    The tables hold each distinct monomial that the value and the first and
+    second derivatives need, and for every output slot its contributions
+    (coefficient, monomial) in the order of the spec's terms.  A jet forms
+    each monomial as 1 times z_k^e_k, variable by variable, and adds the
+    contributions slot by slot, so each chain gets the arithmetic of
+    differentiating one monomial at a time.
+    """
 
     def __init__(self, spec):
         self.spec = spec
-        self.dim_in = spec.m
-        self.dim_out = spec.M
+        m, M = self.dim_in, self.dim_out = spec.m, spec.M
+        monomials = {}
+        slots = {}
 
-    def value(self, pts):
-        return self.spec.eval(pts)
+        def add(slot, exps, coef):
+            index = monomials.setdefault(tuple(exps), len(monomials))
+            slots.setdefault(slot, []).append((coef, index))
 
-    @staticmethod
-    def _monomial(z, exps):
-        out = WIDE_COMPLEX(1.0)
-        for k, e in enumerate(exps):
-            if e:
-                out = out * z[k] ** e
-        return out
+        def hess_slot(j, k, l):
+            return M + M * m + (j * m + k) * m + l
 
-    def jet(self, z):
-        m, M = self.dim_in, self.dim_out
-        val = np.zeros(M, dtype=WIDE_COMPLEX)
-        jac = np.zeros((M, m), dtype=WIDE_COMPLEX)
-        hess = np.zeros((M, m, m), dtype=WIDE_COMPLEX)
-        for j, comp in enumerate(self.spec.components):
+        for j, comp in enumerate(spec.components):
             for exps, coef in comp:
                 cw = WIDE_COMPLEX(coef)
-                val[j] += cw * self._monomial(z, exps)
+                add(j, exps, cw)
                 for k, ek in enumerate(exps):
                     if ek == 0:
                         continue
                     lowered = list(exps)
                     lowered[k] -= 1
-                    jac[j, k] += cw * ek * self._monomial(z, lowered)
+                    add(M + j * m + k, lowered, cw * ek)
                     if ek >= 2:
                         lowered2 = list(lowered)
                         lowered2[k] -= 1
-                        hess[j, k, k] += cw * ek * (ek - 1) * self._monomial(z, lowered2)
+                        add(hess_slot(j, k, k), lowered2, cw * ek * (ek - 1))
                     for l, el in enumerate(exps):
                         if l == k or el == 0:
                             continue
                         mixed = list(lowered)
                         mixed[l] -= 1
-                        hess[j, k, l] += cw * ek * el * self._monomial(z, mixed)
-        return val, jac, hess
+                        add(hess_slot(j, k, l), mixed, cw * ek * el)
+        exponents = np.array(list(monomials), dtype=np.int64).reshape(-1, m)
+        self._monomial_count = exponents.shape[0]
+        self._degrees = np.arange(1, max(1, int(exponents.max(initial=0))) + 1)
+        # per variable: the monomials it enters, and the index of its power
+        self._factors = [(np.flatnonzero(exponents[:, k]), exponents[exponents[:, k] > 0, k] - 1)
+                         for k in range(m)]
+        # rank r adds the r-th contribution of every slot that has one
+        self._ranks = []
+        for r in range(max((len(c) for c in slots.values()), default=0)):
+            hits = [(slot, c[r]) for slot, c in slots.items() if len(c) > r]
+            self._ranks.append((np.array([slot for slot, _ in hits]),
+                                np.array([index for _, (_, index) in hits]),
+                                np.array([coef for _, (coef, _) in hits], dtype=WIDE_COMPLEX)))
+
+    def value(self, pts):
+        flat = self.spec.eval(pts.reshape(-1, self.dim_in))
+        return flat.reshape(pts.shape[:-1] + (self.dim_out,))
+
+    def jet(self, z):
+        n, m, M = z.shape[0], self.dim_in, self.dim_out
+        # an exponent array keeps z^2 off the squaring path of **
+        powers = np.power(z[:, :, None], self._degrees)
+        mono = np.ones((n, self._monomial_count), dtype=WIDE_COMPLEX)
+        for k, (cols, power) in enumerate(self._factors):
+            mono[:, cols] = mono[:, cols] * powers[:, k, power]
+        flat = np.zeros((n, M + M * m + M * m * m), dtype=WIDE_COMPLEX)
+        for slots, index, coef in self._ranks:
+            flat[:, slots] += coef * mono[:, index]
+        return (flat[:, :M], flat[:, M:M + M * m].reshape(n, M, m),
+                flat[:, M + M * m:].reshape(n, M, m, m))
 
 
 class SiegelMap:
-    """A map between Siegel domains as a chain of explicit stages.
+    """A stack of maps between Siegel domains, each a chain of explicit stages.
 
-    Evaluation and exact 2-jets fold through the chain: for u = s o r,
-    J_u = J_s J_r and H_u = H_s[J_r, J_r] + J_s H_r.
+    Every stage holds one factor per chain, so evaluation and exact 2-jets
+    fold all chains at once: for u = s o r, J_u = J_s J_r and
+    H_u = J_r^T H_s J_r + J_s H_r.  `shape` is the stack shape of every
+    output: (n,) for n chains, or () for a single map, which runs as a stack
+    of one.
     """
 
-    def __init__(self, stages, m, M):
+    def __init__(self, stages, m, M, shape=()):
         self.stages = tuple(stages)
         self.m = m
         self.M = M
+        self.shape = tuple(shape)
+        self.size = math.prod(self.shape)
 
     @classmethod
     def from_polynomial(cls, spec):
         return cls([_PolyStage(spec)], spec.m, spec.M)
 
     def eval(self, w):
+        """Values at one point (m,) or a batch (p, m) shared by every chain."""
         pts = np.asarray(w)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts).astype(WIDE_COMPLEX)
+        pts = np.broadcast_to(pts, (self.size,) + pts.shape)
         for stage in self.stages:
             pts = stage.value(pts)
         out = pts.astype(np.complex128)
-        return out[0] if single else out
+        if single:
+            out = out[:, 0]
+        return out.reshape(self.shape + out.shape[1:])
 
     def _jet_wide(self, w0):
         z = as_wide_complex(np.asarray(w0)).reshape(-1)
         if z.shape[0] != self.m:
             raise InputError(f"jet point has dimension {z.shape[0]}, expected {self.m}")
-        jac = np.eye(self.m, dtype=WIDE_COMPLEX)
-        hess = np.zeros((self.m, self.m, self.m), dtype=WIDE_COMPLEX)
-        val = z
+        n, m = self.size, self.m
+        val = np.broadcast_to(z, (n, m))
+        jac = np.broadcast_to(np.eye(m, dtype=WIDE_COMPLEX), (n, m, m))
+        hess = np.zeros((n, m, m, m), dtype=WIDE_COMPLEX)
         for stage in self.stages:
             sval, sjac, shess = stage.jet(val)
-            hess = (
-                np.einsum("jpq,pk,ql->jkl", shess, jac, jac)
-                + np.einsum("jp,pkl->jkl", sjac, hess)
-            )
+            sandwich = np.swapaxes(jac, 1, 2)[:, None] @ shess @ jac[:, None]
+            hess = sandwich + (sjac @ hess.reshape(n, -1, m * m)).reshape(sandwich.shape)
             jac = sjac @ jac
             val = sval
         return val, jac, hess
 
     def jet_at(self, w0):
-        val, jac, hess = self._jet_wide(w0)
-        return (val.astype(np.complex128), jac.astype(np.complex128),
-                hess.astype(np.complex128))
+        return tuple(arr.astype(np.complex128).reshape(self.shape + arr.shape[1:])
+                     for arr in self._jet_wide(w0))
 
 
 def siegel_conjugate(f):
     """The map in Siegel coordinates on both sides, with exact jets.
 
     Chain: inverse Cayley (domain), pre automorphism, polynomial core,
-    post automorphism, Cayley (target).
+    post automorphism, Cayley (target).  A list of maps sharing one core
+    gives a stack with one chain per map.
     """
-    f = as_transformed(f)
+    stacked = isinstance(f, (list, tuple))
+    maps = [as_transformed(g) for g in f] if stacked else [as_transformed(f)]
+    core = maps[0].core
+    if any(g.core != core for g in maps[1:]):
+        raise InputError("a stack of maps must share one polynomial core")
+    n, m, M = len(maps), core.m, core.M
     stages = [
-        _MoebiusStage(gm.cayley_inverse_matrix(f.m), name="cayley"),
-        _MoebiusStage(f.pre.matrix, name="pre"),
-        _PolyStage(f.core),
-        _MoebiusStage(f.post.matrix, name="post"),
-        _MoebiusStage(gm.cayley_matrix(f.M), name="cayley"),
+        _MoebiusStage(np.broadcast_to(gm.cayley_inverse_matrix(m), (n, m + 1, m + 1)),
+                      name="cayley"),
+        _MoebiusStage(np.stack([g.pre.matrix for g in maps]), name="pre"),
+        _PolyStage(core),
+        _MoebiusStage(np.stack([g.post.matrix for g in maps]), name="post"),
+        _MoebiusStage(np.broadcast_to(gm.cayley_matrix(M), (n, M + 1, M + 1)), name="cayley"),
     ]
-    return SiegelMap(stages, f.m, f.M)
+    return SiegelMap(stages, m, M, (n,) if stacked else ())
 
 
 @dataclass(frozen=True)
@@ -479,7 +542,8 @@ class JetExpansion:
 def _fd_jet(g, step):
     """Central finite-difference value/first/second at 0 (independent oracle).
 
-    The whole stencil, 1 + 2m + 2m(m-1) points, goes through one g.eval.
+    The whole stencil, 1 + 2m + 2m(m-1) points, goes through one g.eval; for
+    a stack of chains every array gains the stack's leading axes.
     """
     m = g.m
     h = step
@@ -492,17 +556,20 @@ def _fd_jet(g, step):
         stencil += [h * e[k] + h * e[l], h * e[k] - h * e[l],
                     -h * e[k] + h * e[l], -h * e[k] - h * e[l]]
     values = g.eval(np.array(stencil, dtype=complex))
-    f0, plus, minus = values[0], values[1:1 + m], values[1 + m:1 + 2 * m]
-    corners = values[1 + 2 * m:].reshape(-1, 4, g.M)
-    first = np.zeros((g.M, m), dtype=complex)
-    second = np.zeros((g.M, m, m), dtype=complex)
+    lead = values.shape[:-2]
+    f0 = values[..., 0, :]
+    plus, minus = values[..., 1:1 + m, :], values[..., 1 + m:1 + 2 * m, :]
+    corners = values[..., 1 + 2 * m:, :].reshape(lead + (-1, 4, g.M))
+    first = np.zeros(lead + (g.M, m), dtype=complex)
+    second = np.zeros(lead + (g.M, m, m), dtype=complex)
     for k in range(m):
-        first[:, k] = (plus[k] - minus[k]) / (2 * h)
-        second[:, k, k] = (plus[k] - 2 * f0 + minus[k]) / h**2
-    for (k, l), (pp, pm, mp, mm) in zip(mixed_pairs, corners):
+        first[..., k] = (plus[..., k, :] - minus[..., k, :]) / (2 * h)
+        second[..., k, k] = (plus[..., k, :] - 2 * f0 + minus[..., k, :]) / h**2
+    for i, (k, l) in enumerate(mixed_pairs):
+        pp, pm, mp, mm = (corners[..., i, c, :] for c in range(4))
         mixed = (pp - pm - mp + mm) / (4 * h**2)
-        second[:, k, l] = mixed
-        second[:, l, k] = mixed
+        second[..., k, l] = mixed
+        second[..., l, k] = mixed
     return f0, first, second
 
 
@@ -515,18 +582,29 @@ def jet_at_zero(g, *, fd_step=1e-4, fd_tol=1e-4):
     roundoff the finite differences divide by step^2) must widen fd_tol
     accordingly; the finite-difference oracle, not the chain rule, is the
     side that degrades.
+
+    A stack of n chains (g.shape == (n,)) gives a tuple of n expansions from
+    one fold and one stencil evaluation; fd_tol is then a scalar or one
+    tolerance per chain, and each chain is checked against its own.
     """
     value, first, second = g.jet_at(np.zeros(g.m, dtype=complex))
     fd_value, fd_first, fd_second = _fd_jet(g, fd_step)
-    err = 0.0
+    lead = value.shape[:-1]
+    err = np.zeros(lead)
     for exact, fd in ((first, fd_first), (second, fd_second)):
         denom = np.maximum(1.0, np.abs(exact))
-        err = max(err, float(np.max(np.abs(fd - exact) / denom)))
-    if err > fd_tol:
+        worst = np.max((np.abs(fd - exact) / denom).reshape(lead + (-1,)), axis=-1)
+        err = np.fmax(err, worst)
+    over = np.flatnonzero(err > fd_tol)
+    if over.size:
         raise NumericError(
-            f"chain-rule jet disagrees with finite differences: {err:.3g}")
+            f"chain-rule jet disagrees with finite differences: {err.flat[over[0]]:.3g}",
+            chain=int(over[0]))
     base = gm.SiegelPoint(np.zeros(g.m, dtype=complex))
-    return JetExpansion(base, value, first, second, error_norm=err)
+    if not lead:
+        return JetExpansion(base, value, first, second, error_norm=float(err))
+    return tuple(JetExpansion(base, v, f1, f2, error_norm=float(e))
+                 for v, f1, f2, e in zip(value, first, second, err))
 
 
 def jet_quadratic_eval(jet, pts):

@@ -120,9 +120,9 @@ def _origin_image(g):
 
 
 def _pair_residuals(f, phi_seq, psi_seq, seed):
-    return [pm.verify_symmetry_pair(f, phi.as_double(), psi.as_double(),
-                                    sample_count=64, seed=seed).residual
-            for phi, psi in zip(phi_seq, psi_seq)]
+    return pm.symmetry_residuals(f, [phi.as_double() for phi in phi_seq],
+                                 [psi.as_double() for psi in psi_seq],
+                                 sample_count=64, seed=seed).tolist()
 
 
 def _certify_pairs(f, phi_seq, psi_seq, tol, seed):
@@ -252,6 +252,9 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
     a_{-t_n} o h_n o a_{t_n} directly; no symmetry is required, which makes
     the scaling table testable on maps whose symmetry group is compact.
     alpha_n and beta_n always satisfy g_n = beta_n o f o alpha_n^{-1}.
+
+    The jets of all h_n come from one stacked pass and those of all g_n from
+    a second; each chain of a stack has the arithmetic of a lone chain.
     """
     f = pm.as_transformed(f)
     m, M = f.m, f.M
@@ -278,74 +281,30 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
         residuals = _pair_residuals(f, phi_seq, psi_seq, seed)
 
     conj_pts = siegel_interior_points(rng_from_seed(seed), 20, m, scale=0.25)
+    psis = psi_seq if psi_seq is not None else [None] * len(phi_seq)
+    frames = []
+    try:
+        for phi, psi in zip(phi_seq, psis):
+            frames.append(_frame(f, phi, psi, conjugate))
+    except (InputError, NumericError):
+        # the indices before the failing frame come first in index order
+        if frames:
+            _frame_jets_in_order(f, frames, conj_pts, conjugate)
+        raise
+    columns = _frame_jets_in_order(f, frames, conj_pts, conjugate)
     indices = []
-    for i, phi in enumerate(phi_seq):
-        phi_w = gm.Automorphism(as_wide_complex(phi.matrix))
-        p = gm._mobius_apply(phi_w.matrix, np.zeros(m, dtype=WIDE_COMPLEX))
-        r = np.sqrt((np.abs(p) ** 2).sum().real)
-        if float(r) <= 0:
-            raise InputError("sequence element fixes 0; no flow parameter exists")
-        t = np.arctanh(WIDE_REAL(r))
-        if float(t) > FLOW_PARAMETER_CAP:
-            raise InputError(
-                f"flow parameter {float(t):.3g} exceeds the cap {FLOW_PARAMETER_CAP}; "
-                "the boundary gap underflows beyond it")
-        v = p / r
-        k_n = gm.rotation_mapping_e1(v, dtype=WIDE_COMPLEX)
-        fv = f.eval(v)
-        fv_gap = abs(float(one_minus_norm(fv)))
-        if fv_gap > 1e-9:
-            raise InputError(
-                f"map is not proper enough at the sequence direction: | |f(v)|-1 | = {fv_gap:.3g}")
-        l_n = gm.rotation_mapping_e1(fv / np.sqrt((np.abs(fv) ** 2).sum().real),
-                                     dtype=WIDE_COMPLEX)
-
-        a_t_m = gm.cartan(t, m, dtype=WIDE_COMPLEX)
-        a_mt_M = gm.cartan(-t, M, dtype=WIDE_COMPLEX)
-        l_inv = gm.inverse(l_n)
-
-        pre_conj = gm.compose(k_n, a_t_m)
-        post_conj = gm.compose(a_mt_M, l_inv)
-        if conjugate:
-            pre_g, post_g = pre_conj, post_conj
-        else:
-            pre_g = gm.compose(gm.inverse(phi_w), pre_conj)
-            post_g = gm.compose(post_conj, gm.Automorphism(as_wide_complex(psi_seq[i].matrix)))
-
-        h_map = f.with_precomposition(k_n).with_postcomposition(l_inv)
-        g_map = f.with_precomposition(pre_g).with_postcomposition(post_g)
-        h_jet = pm.jet_at_zero(pm.siegel_conjugate(h_map))
-        # the finite-difference oracle degrades with the chain conditioning
-        # (intermediate roundoff times e^{2t} divided by step^2); the scaling
-        # law against the strictly-checked h jets is the oracle at large t
-        cond = (max(1.0, float(np.max(np.abs(pre_g.matrix.astype(np.complex128)))))
-                * max(1.0, float(np.max(np.abs(post_g.matrix.astype(np.complex128))))))
-        eps_wide = float(np.finfo(WIDE_REAL).eps)
-        g_tol = max(1e-4, 1e5 * eps_wide * cond / 1e-4**2)
-        g_jet = pm.jet_at_zero(pm.siegel_conjugate(g_map), fd_tol=g_tol)
-
-        conj_residual = None
-        if not conjugate:
-            other = f.with_precomposition(pre_conj).with_postcomposition(post_conj)
-            diff = (pm.siegel_conjugate(g_map).eval(conj_pts)
-                    - pm.siegel_conjugate(other).eval(conj_pts))
-            conj_residual = float(np.max(np.linalg.norm(diff, axis=1)))
-
-        psi0 = _origin_image(psi_seq[i]) if psi_seq is not None else f.eval(p)
-        compact_pt = gm._mobius_apply(post_conj.matrix, psi0)
-        compactness = kb.dist_ball(np.zeros(M), compact_pt.astype(np.complex128))
-
+    for i, (frame, h_jet, g_jet, conj_residual, compactness) in enumerate(zip(frames, *columns)):
         indices.append(TraceIndex(
             order=i,
-            t_n=float(t),
-            k_n=k_n,
-            l_n=l_n,
-            alpha_n=gm.inverse(pre_g),
-            beta_n=post_g,
+            t_n=float(frame.t),
+            k_n=frame.k_n,
+            l_n=frame.l_n,
+            alpha_n=gm.inverse(frame.pre_g),
+            beta_n=frame.post_g,
             h_jet=h_jet,
             g_jet=g_jet,
             phi_gap=report.phi_gaps[i],
-            psi_gap=report.psi_gaps[i] if report.psi_gaps else float("nan"),
+            psi_gap=report.psi_gaps[i],
             compactness_dist=compactness,
             g_value_norm=float(np.linalg.norm(g_jet.value)),
             symmetry_residual=residuals[i],
@@ -353,6 +312,109 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
         ))
     return RescalingTrace(m, M, "conjugate" if conjugate else "sequence",
                           tuple(indices), f)
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """The recentring of one sequence index: t_n, the rotations, and the
+    automorphisms that dress f into h_n, g_n and the flow conjugate of h_n."""
+
+    t: np.longdouble
+    k_n: gm.Automorphism
+    l_n: gm.Automorphism
+    l_inv: gm.Automorphism
+    pre_g: gm.Automorphism
+    post_g: gm.Automorphism
+    pre_conj: gm.Automorphism
+    post_conj: gm.Automorphism
+    psi0: np.ndarray
+
+
+def _frame(f, phi, psi, conjugate):
+    m, M = f.m, f.M
+    phi_w = gm.Automorphism(as_wide_complex(phi.matrix))
+    p = gm._mobius_apply(phi_w.matrix, np.zeros(m, dtype=WIDE_COMPLEX))
+    r = np.sqrt((np.abs(p) ** 2).sum().real)
+    if float(r) <= 0:
+        raise InputError("sequence element fixes 0; no flow parameter exists")
+    t = np.arctanh(WIDE_REAL(r))
+    if float(t) > FLOW_PARAMETER_CAP:
+        raise InputError(
+            f"flow parameter {float(t):.3g} exceeds the cap {FLOW_PARAMETER_CAP}; "
+            "the boundary gap underflows beyond it")
+    v = p / r
+    k_n = gm.rotation_mapping_e1(v, dtype=WIDE_COMPLEX)
+    fv = f.eval(v)
+    fv_gap = abs(float(one_minus_norm(fv)))
+    if fv_gap > 1e-9:
+        raise InputError(
+            f"map is not proper enough at the sequence direction: | |f(v)|-1 | = {fv_gap:.3g}")
+    l_n = gm.rotation_mapping_e1(fv / np.sqrt((np.abs(fv) ** 2).sum().real),
+                                 dtype=WIDE_COMPLEX)
+    a_t_m = gm.cartan(t, m, dtype=WIDE_COMPLEX)
+    a_mt_M = gm.cartan(-t, M, dtype=WIDE_COMPLEX)
+    l_inv = gm.inverse(l_n)
+    pre_conj = gm.compose(k_n, a_t_m)
+    post_conj = gm.compose(a_mt_M, l_inv)
+    if conjugate:
+        pre_g, post_g = pre_conj, post_conj
+    else:
+        pre_g = gm.compose(gm.inverse(phi_w), pre_conj)
+        post_g = gm.compose(post_conj, gm.Automorphism(as_wide_complex(psi.matrix)))
+    psi0 = _origin_image(psi) if psi is not None else f.eval(p)
+    return _Frame(t, k_n, l_n, l_inv, pre_g, post_g, pre_conj, post_conj, psi0)
+
+
+def _frame_jets_in_order(f, frames, conj_pts, conjugate):
+    """_frame_jets, raising the error that a build of one index at a time
+    meets first: when chain j of a stacked pass fails, the indices before j
+    are checked as a stack, then index j alone."""
+    try:
+        return _frame_jets(f, frames, conj_pts, conjugate)
+    except NumericError as exc:
+        if exc.chain is None:
+            raise
+        # the conjugation residuals stack the g chains before their conjugates
+        j = exc.chain % len(frames)
+        if j:
+            _frame_jets_in_order(f, frames[:j], conj_pts, conjugate)
+        _frame_jets(f, frames[j:j + 1], conj_pts, conjugate)
+        raise
+
+
+def _frame_jets(f, frames, conj_pts, conjugate):
+    """Per-index columns (h jets, g jets, conjugation residuals, compactness
+    distances): one stacked jet pass for all h_n and one for all g_n."""
+    n = len(frames)
+    h_maps = [f.with_precomposition(fr.k_n).with_postcomposition(fr.l_inv)
+              for fr in frames]
+    g_maps = [f.with_precomposition(fr.pre_g).with_postcomposition(fr.post_g) for fr in frames]
+    h_jets = pm.jet_at_zero(pm.siegel_conjugate(h_maps))
+    # the finite-difference oracle degrades with the chain conditioning
+    # (intermediate roundoff times e^{2t} divided by step^2); the scaling
+    # law against the strictly-checked h jets is the oracle at large t
+    eps_wide = float(np.finfo(WIDE_REAL).eps)
+    g_tols = [max(1e-4, 1e5 * eps_wide * _conditioning(fr) / 1e-4**2) for fr in frames]
+    g_jets = pm.jet_at_zero(pm.siegel_conjugate(g_maps), fd_tol=np.array(g_tols))
+
+    conj_residuals = [None] * n
+    if not conjugate:
+        others = [f.with_precomposition(fr.pre_conj).with_postcomposition(fr.post_conj)
+                  for fr in frames]
+        values = pm.siegel_conjugate(g_maps + others).eval(conj_pts)
+        diff = values[:n] - values[n:]
+        conj_residuals = np.max(np.linalg.norm(diff, axis=-1), axis=-1).tolist()
+
+    compact_pts = gm._mobius_apply(np.stack([fr.post_conj.matrix for fr in frames]),
+                                   np.stack([fr.psi0 for fr in frames])[:, None, :])
+    compactness = kb.dist_rows(np.zeros((n, f.M)), compact_pts[:, 0].astype(np.complex128))
+    return h_jets, g_jets, conj_residuals, compactness.tolist()
+
+
+def _conditioning(frame):
+    """Product of the largest entries (at least 1) of the g chain's two factors."""
+    return (max(1.0, float(np.max(np.abs(frame.pre_g.matrix.astype(np.complex128)))))
+            * max(1.0, float(np.max(np.abs(frame.post_g.matrix.astype(np.complex128))))))
 
 
 # --- verification against the scaling tables ------------------------------------
@@ -632,6 +694,8 @@ def run_pipeline(f, phi_seq, psi_seq=None, *, conjugate=False, tail=3,
 
     Every failure carries the name of the stage it occurred in.
     """
+    if morse_trials < 0:
+        raise InputError(f"morse_trials must be nonnegative, got {morse_trials}")
     with _Stage("normalize_map"):
         if conjugate:
             f_n, pairs_psi = _recentre(pm.as_transformed(f), psi_seq)

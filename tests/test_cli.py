@@ -101,6 +101,14 @@ class TestRadialSweep:
             assert code == 2
             assert "--directions" in err
 
+    def test_negative_morse_trials_exit(self, capsys):
+        code, out, err = run(capsys, [
+            "radial-sweep", "--map", "linear", "--m", "2", "--M", "4",
+            "--morse-trials", "-1"])
+        assert code == 2
+        assert "--morse-trials" in err and "validation error" in err
+        assert out == ""
+
     def test_deterministic_output(self, capsys, tmp_path):
         args = ["radial-sweep", "--map", "whitney", "--directions", "5",
                 "--seed", "3", "--morse-trials", "2"]
@@ -173,6 +181,15 @@ class TestRescale:
             "--seq", "custom-file", "--seq-file", str(seq)])
         assert code == 2
         assert "malformed sequence file" in err
+
+    def test_negative_morse_trials_exit(self, capsys, tmp_path):
+        trace = tmp_path / "trace.json"
+        code, out, err = run(capsys, [
+            "rescale", "--map", "linear", "--m", "2", "--M", "4",
+            "--morse-trials", "-2", "--out", str(trace)])
+        assert code == 2
+        assert "morse_trials" in err and "validation error" in err
+        assert out == "" and not trace.exists()
 
 
 class TestReport:

@@ -414,15 +414,15 @@ class TestPipeline:
 
     def test_sequence_mode_certifies_each_pair_twice(self, monkeypatch):
         # once on the input pairs (normalize_map), once on the recentred
-        # pairs (build_sequence)
+        # pairs (build_sequence); both passes go through the stacked kernel
         calls = []
-        original = pm.verify_symmetry_pair
+        original = pm.symmetry_residuals
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(f, phis, psis, *args, **kwargs):
+            calls.extend([1] * len(phis))
+            return original(f, phis, psis, *args, **kwargs)
 
-        monkeypatch.setattr(pm, "verify_symmetry_pair", counting)
+        monkeypatch.setattr(pm, "symmetry_residuals", counting)
         phis, psis = cartan_pairs(2, 4, range(1, 7))
         rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis)
         assert len(calls) == 2 * len(phis)
@@ -440,6 +440,11 @@ class TestPipeline:
         assert result.constants is not None
         assert result.constants.bound >= result.constants.beta
         assert result.compactness_within_bound is True
+
+    def test_negative_morse_trials_rejected(self):
+        phis, psis = cartan_pairs(2, 4, range(1, 8))
+        with pytest.raises(InputError, match="morse_trials"):
+            rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis, morse_trials=-1)
 
     def test_trace_document_roundtrip(self, tmp_path):
         phis, psis = cartan_pairs(2, 4, range(1, 7))
