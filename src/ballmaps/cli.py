@@ -111,7 +111,7 @@ def cmd_radial_sweep(args):
     if args.directions > 1:
         dirs.append(unit_vectors(rng, args.directions - 1, m))
     directions = np.concatenate([np.atleast_2d(d) for d in dirs], axis=0)
-    if args.t_grid:
+    if args.t_grid is not None:
         try:
             t_values = [float(x) for x in args.t_grid.split(",")]
         except ValueError as exc:
@@ -121,12 +121,8 @@ def cmd_radial_sweep(args):
     if any(t < 0 or t >= 1 for t in t_values):
         raise InputError("t values must lie in [0, 1)")
 
-    C = pm.lipschitz_boundary_constant(f).C
-    base = pm.base_offset(f)
-    beta = kb.quasi_geodesic_beta(C, base)
-    D = kb.estimate_morse_constant(f.M, 1.0, beta, base, args.morse_trials, args.seed) \
-        if args.morse_trials > 0 else 0.0
-    constants = kb.RadialBoundConstants(C=C, D=D, base_offset=base)
+    constants = pm.radial_bound_constants(f, args.morse_trials, args.seed)
+    C, beta, D = constants.C, constants.beta, constants.D
 
     # one evaluation per point set; each row is the arithmetic of a lone point
     # (norm(axis=1) would sum in another order than the per-row norm)
@@ -145,7 +141,7 @@ def cmd_radial_sweep(args):
             "format": "ballmaps-radial-sweep-v1",
             "rows": [{"direction": i, "t": t, "deviation": dev} for i, t, dev in rows],
             "sup_deviation": sup,
-            "C": C, "beta": beta, "base_offset": base,
+            "C": C, "beta": beta, "base_offset": constants.base_offset,
             "D": D, "bound": constants.bound,
         }
         # one line: a one-shot dumps without indent runs the C encoder
@@ -209,11 +205,31 @@ def cmd_rescale(args):
     return EXIT_OK
 
 
+def _check_fields(obj, where, kinds):
+    """Raise an InputError naming the first field of obj (at `where`) missing or not of its kind."""
+    for key, kind in kinds.items():
+        value = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            name = getattr(kind, "__name__", "number")
+            raise InputError(f"trace field {where}{key} is missing or not of type {name}")
+
+
 def cmd_report(args):
     with open(args.trace) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "ballmaps-trace-v1":
+    if not isinstance(doc, dict) or doc.get("format") != rs.TRACE_FORMAT:
         raise InputError(f"{args.trace} is not a trace document")
+    num = (int, float)
+    _check_fields(doc, "", {"m": num, "M": num, "mode": str, "indices": list,
+                            "scaling_law_error": num, "normal_form": dict})
+    for i, idx in enumerate(doc["indices"]):
+        _check_fields(idx, f"indices[{i}].", dict.fromkeys(
+            ("order", "t_n", "phi_gap", "compactness_dist", "g_value_norm"), num))
+    _check_fields(doc["normal_form"], "normal_form.", dict.fromkeys(
+        ("lambda", "vanishing_pattern_residual", "flatten_residual"), num))
+    if "constants" in doc:
+        _check_fields(doc["constants"], "constants.", {
+            "C": num, "beta": num, "D": num, "bound": num, "compactness_within_bound": bool})
     nf = doc["normal_form"]
     print(f"trace: {doc['m']} -> {doc['M']}, mode {doc['mode']}, "
           f"{len(doc['indices'])} indices")
@@ -282,13 +298,12 @@ def _build_parser():
                     "and automorphism rescaling.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_map_flags(p, need_dims=True):
+    def add_map_flags(p):
         p.add_argument("--map", help="catalog map name (linear | whitney | power)")
         p.add_argument("--spec-file", help="path to a map-spec JSON file")
-        if need_dims:
-            p.add_argument("--m", type=int, default=2, help="domain dimension")
-            p.add_argument("--M", type=int, default=3, help="target dimension")
-            p.add_argument("--d", type=int, default=2, help="degree for power maps")
+        p.add_argument("--m", type=int, default=2, help="domain dimension")
+        p.add_argument("--M", type=int, default=3, help="target dimension")
+        p.add_argument("--d", type=int, default=2, help="degree for power maps")
 
     p = sub.add_parser("dist", help="Kobayashi distance between two interior points")
     p.add_argument("--m", type=int, required=True)

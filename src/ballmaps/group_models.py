@@ -25,6 +25,8 @@ from .numerics import (
 
 TOL_GROUP = 1e-10
 TOL_CLOSURE = 1e-9
+# A fractional-linear denominator at most this times its matrix's scale vanishes.
+TOL_DENOMINATOR = 1e-13
 
 # Residual below which a Gram-Schmidt candidate is considered dependent.
 GRAM_SCHMIDT_SKIP = 1e-8
@@ -172,7 +174,7 @@ def verify_membership(g):
     return float(np.linalg.norm(defect.astype(np.complex128)))
 
 
-def _mobius_apply(matrix, points, *, den_tol=1e-13):
+def _mobius_apply(matrix, points):
     """Fractional-linear action of `matrix` on an (n, m) batch of points.
 
     A stack of k matrices (k, m+1, m+1) acts matrix by matrix on (n, m)
@@ -207,7 +209,7 @@ def _mobius_apply(matrix, points, *, den_tol=1e-13):
         scale = np.maximum(top * np.maximum(reach, 1.0), 1.0)
     else:
         scale = np.ones(matrix.shape[0])
-    vanishing = np.any(np.abs(den) <= den_tol * scale[:, None], axis=-1)
+    vanishing = np.any(np.abs(den) <= TOL_DENOMINATOR * scale[:, None], axis=-1)
     if np.any(vanishing):
         raise NumericError("fractional-linear action undefined: denominator vanishes",
                            chain=int(np.argmax(vanishing)))
@@ -254,28 +256,19 @@ def _unitary_completion(columns):
     given = as_wide_complex(columns)
     if given.ndim == 1:
         given = given[:, None]
-    dim = given.shape[0]
+    dim, count = given.shape
     if dim == 0:
         return np.zeros((0, 0), dtype=WIDE_COMPLEX)
     cols = []
-    for i in range(given.shape[1]):
-        r = given[:, i]
-        for u in cols:
-            r = r - (r * np.conj(u)).sum() * u
-        rn = np.sqrt(float((np.abs(r) ** 2).sum().real))
-        if rn < GRAM_SCHMIDT_SKIP:
-            raise NumericError("Gram-Schmidt completion degenerated: dependent input columns")
-        cols.append(r / rn)
-    for i in range(dim):
-        if len(cols) == dim:
+    for i, r in enumerate([*given.T, *np.eye(dim, dtype=WIDE_COMPLEX)]):
+        if i >= count and len(cols) == dim:
             break
-        e = np.zeros(dim, dtype=WIDE_COMPLEX)
-        e[i] = 1.0
-        r = e
         for u in cols:
             r = r - (r * np.conj(u)).sum() * u
         rn = np.sqrt(float((np.abs(r) ** 2).sum().real))
         if rn < GRAM_SCHMIDT_SKIP:
+            if i < count:
+                raise NumericError("Gram-Schmidt completion degenerated: dependent input columns")
             continue
         cols.append(r / rn)
     if len(cols) != dim:
@@ -295,7 +288,7 @@ def rotation_mapping_e1(v, dtype=np.complex128):
     return Automorphism(mat.astype(dtype))
 
 
-def transport_to_origin(p, dtype=np.complex128):
+def transport_to_origin(p):
     """The automorphism sending an interior point p to 0: (k a_t)^{-1}."""
     coords = p.coords if isinstance(p, BallPoint) else np.asarray(p).reshape(-1)
     r = float(np.linalg.norm(coords.astype(np.complex128)))
@@ -303,10 +296,10 @@ def transport_to_origin(p, dtype=np.complex128):
         raise InputError(f"transport_to_origin needs an interior point, got |p| = {r:.6g}")
     dim = coords.shape[0]
     if r == 0.0:
-        return Automorphism(np.eye(dim + 1, dtype=dtype))
+        return Automorphism.identity(dim)
     t = np.arctanh(as_wide_real(r))
     k = rotation_mapping_e1(coords / r, dtype=WIDE_COMPLEX)
-    return compose(cartan(-t, dim, dtype=WIDE_COMPLEX), inverse(k), dtype=dtype)
+    return compose(cartan(-t, dim, dtype=WIDE_COMPLEX), inverse(k), dtype=np.complex128)
 
 
 def compose(g, h, *more, dtype=None):
@@ -327,7 +320,7 @@ def compose(g, h, *more, dtype=None):
     return Automorphism(out.astype(dtype))
 
 
-def inverse(g, dtype=None):
+def inverse(g):
     """Group inverse.
 
     For a form-preserving matrix the inverse is J g* J, which needs no
@@ -335,23 +328,22 @@ def inverse(g, dtype=None):
     back to a numerical inverse only when the analytic candidate fails.
     """
     mat = g.matrix
-    dtype = dtype or mat.dtype
     j = signature_matrix(g.dim, dtype=mat.dtype)
     candidate = j @ mat.conj().T @ j
     check = as_wide_complex(candidate) @ as_wide_complex(mat)
     scale = abs(check[0, 0])
     eye = np.eye(g.dim + 1)
     if scale > 0 and np.max(np.abs(check / scale - eye)) < 1e-8:
-        return Automorphism((as_wide_complex(candidate) / scale).astype(dtype))
+        return Automorphism((as_wide_complex(candidate) / scale).astype(mat.dtype))
     inv = np.linalg.inv(mat.astype(np.complex128))
-    return Automorphism(inv.astype(dtype))
+    return Automorphism(inv.astype(mat.dtype))
 
 
 # --- the two models and the transforms between them -------------------------
 
-def cayley_matrix(dim, dtype=np.complex128):
+def cayley_matrix(dim):
     """Matrix of the ball -> Siegel transform in the affine chart."""
-    mat = np.eye(dim + 1, dtype=dtype)
+    mat = np.eye(dim + 1, dtype=np.complex128)
     mat[0, 0] = -1j
     mat[0, -1] = 1j
     mat[-1, 0] = 1.0
@@ -359,9 +351,9 @@ def cayley_matrix(dim, dtype=np.complex128):
     return mat
 
 
-def cayley_inverse_matrix(dim, dtype=np.complex128):
+def cayley_inverse_matrix(dim):
     """Matrix of the Siegel -> ball transform in the affine chart."""
-    mat = 2j * np.eye(dim + 1, dtype=dtype)
+    mat = 2j * np.eye(dim + 1, dtype=np.complex128)
     mat[0, 0] = -1.0
     mat[0, -1] = 1j
     mat[-1, 0] = 1.0

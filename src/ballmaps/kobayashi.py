@@ -292,8 +292,7 @@ def _perp_direction(rng, v):
     return w / n
 
 
-def estimate_morse_constant(m, alpha, beta, R, trials, seed, *,
-                            samples=64, span=6.0, pieces=6):
+def estimate_morse_constant(m, alpha, beta, R, trials, seed):
     """Empirical lower estimate of the stability constant for quasi-geodesics.
 
     Each trial perturbs a radial geodesic segment by a certified (alpha, beta)
@@ -303,10 +302,13 @@ def estimate_morse_constant(m, alpha, beta, R, trials, seed, *,
     Hausdorff pseudo-distance to the geodesic joining the same endpoints.
     Returns the sample maximum; deterministic for a fixed seed.
     """
+    if m < 1:
+        raise InputError(f"need a ball dimension m >= 1, got m = {m}")
     if alpha < 1.0 or beta < 0.0 or R < 0.0:
         raise InputError("need alpha >= 1, beta >= 0, R >= 0")
     if trials < 1:
         raise InputError("need at least one trial")
+    samples, span, pieces = 64, 6.0, 6
     rng = rng_from_seed(seed)
     best = 0.0
     for _ in range(trials):
@@ -325,23 +327,15 @@ def estimate_morse_constant(m, alpha, beta, R, trials, seed, *,
         end_cap = min(R, 0.49 * beta)
         radii[0] = rng.random() * end_cap
         radii[-1] = rng.random() * end_cap
-        pts = _offset_samples(k, u, dirs, radii)
-        curve = SampledCurve("ball", p, pts)
-
-        # double-stored samples carry cosh^2(t) * eps positional noise, so an
-        # exact geodesic certifies only up to a tiny roundoff allowance
-        cert_slack = 1e-9
-        cert = certify_quasi_geodesic(curve, alpha, beta)
-        shrink = 0
-        while cert.max_violation > cert_slack and shrink < 5:
-            # jitter bounded by beta/2 certifies by the triangle inequality;
-            # halving is a safety net for borderline roundoff only
-            radii *= 0.5
+        # jitter below beta/2 certifies by the triangle inequality, up to the
+        # cosh^2(t) * eps noise of double samples; five halvings are a safety net
+        for _ in range(6):
             pts = _offset_samples(k, u, dirs, radii)
             curve = SampledCurve("ball", p, pts)
-            cert = certify_quasi_geodesic(curve, alpha, beta)
-            shrink += 1
-        if cert.max_violation > cert_slack:
+            if certify_quasi_geodesic(curve, alpha, beta).max_violation <= 1e-9:
+                break
+            radii *= 0.5
+        else:
             raise NumericError("failed to certify a generated quasi-geodesic")
 
         a, b = pts[0], pts[-1]

@@ -32,6 +32,7 @@ MAX_DEGREE = 8
 MAX_COEFFICIENT = 10.0
 PROPERNESS_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
+FD_STEP = 1e-4  # step of the finite-difference stencil that cross-checks each jet
 
 
 @dataclass(frozen=True)
@@ -87,19 +88,18 @@ class ProperMapSpec:
                 out[:, j] += term
         return out[0] if single else out
 
-    def properness_residual(self, count=None, seed=23):
+    def properness_residual(self, count=None):
         """max | ||f(v)|| - 1 | over a deterministic boundary sample."""
         count = count or 32 * self.m
-        v = unit_vectors(rng_from_seed(seed), count, self.m)
+        v = unit_vectors(rng_from_seed(23), count, self.m)
         gap = one_minus_norm(self.eval(v))
         return float(np.max(np.abs(gap.astype(np.float64))))
 
 
-def validate_properness(spec, tol=PROPERNESS_TOL):
+def validate_properness(spec):
     res = spec.properness_residual()
-    if res > tol:
+    if res > PROPERNESS_TOL:
         raise InputError(f"map fails the properness certificate: residual {res:.3g}")
-    return res
 
 
 def catalog(name, m=None, M=None, d=None):
@@ -209,7 +209,7 @@ class LipschitzConstant:
     grid_size: int
 
 
-def lipschitz_boundary_constant(f, grid_density=64, *, radii_count=24, seed=11):
+def lipschitz_boundary_constant(f, grid_density=64, *, radii_count=24):
     """Maximize (1 - ||f(z)||) / (1 - ||z||) over a deterministic near-boundary grid.
 
     Radii are log-spaced in [0.9, 1 - 1e-8]; directions are grid_density
@@ -222,7 +222,7 @@ def lipschitz_boundary_constant(f, grid_density=64, *, radii_count=24, seed=11):
     if m > 1:
         dirs.append(np.eye(m, dtype=complex)[m - 1])
         dirs.append(np.ones(m, dtype=complex) / math.sqrt(m))
-    dirs.append(unit_vectors(rng_from_seed(seed), grid_density, m))
+    dirs.append(unit_vectors(rng_from_seed(11), grid_density, m))
     directions = np.concatenate([np.atleast_2d(d) for d in dirs], axis=0)
     radii = 1.0 - np.logspace(-1, -8, radii_count)
     pts = (radii[:, None, None] * directions).reshape(-1, m)
@@ -247,6 +247,16 @@ def base_offset(f):
     """dist(0, f(0)), the offset of the image of the origin."""
     f = as_transformed(f)
     return kb.dist_ball(np.zeros(f.M), f.eval(np.zeros(f.m, dtype=complex)))
+
+
+def radial_bound_constants(f, trials, seed):
+    """The constants of the radial-deviation bound 2D + beta + dist(0, f(0)):
+    D is the Morse estimate over `trials` seeded trials, 0 for no trials."""
+    C = lipschitz_boundary_constant(f).C
+    base = base_offset(f)
+    D = (kb.estimate_morse_constant(f.M, 1.0, kb.quasi_geodesic_beta(C, base), base, trials, seed)
+         if trials > 0 else 0.0)
+    return kb.RadialBoundConstants(C=C, D=D, base_offset=base)
 
 
 # --- symmetry pairs ----------------------------------------------------------
@@ -329,7 +339,7 @@ class _MoebiusStage:
         den = (c * z).sum(axis=-1) + d
         # each chain against the scale of its own matrix, never the stack's
         scale = np.maximum(1.0, np.max(np.abs(self.matrix[:, -1]), axis=-1).astype(np.float64))
-        vanishing = np.abs(den.astype(np.complex128)) <= 1e-13 * scale
+        vanishing = np.abs(den.astype(np.complex128)) <= gm.TOL_DENOMINATOR * scale
         if np.any(vanishing):
             raise NumericError(f"{self.name} stage undefined: denominator vanishes",
                                chain=int(np.argmax(vanishing)))
@@ -573,7 +583,7 @@ def _fd_jet(g, step):
     return f0, first, second
 
 
-def jet_at_zero(g, *, fd_step=1e-4, fd_tol=1e-4):
+def jet_at_zero(g, *, fd_tol=1e-4):
     """Exact chain-rule jet at 0, cross-checked against finite differences.
 
     Raises NumericError when the two routes disagree beyond fd_tol; the
@@ -588,7 +598,7 @@ def jet_at_zero(g, *, fd_step=1e-4, fd_tol=1e-4):
     tolerance per chain, and each chain is checked against its own.
     """
     value, first, second = g.jet_at(np.zeros(g.m, dtype=complex))
-    fd_value, fd_first, fd_second = _fd_jet(g, fd_step)
+    fd_value, fd_first, fd_second = _fd_jet(g, FD_STEP)
     lead = value.shape[:-1]
     err = np.zeros(lead)
     for exact, fd in ((first, fd_first), (second, fd_second)):

@@ -24,7 +24,7 @@ would inject noise of order e^{2 t_n} * 1e-16 into every jet.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +56,8 @@ PATTERN_TOL = 1e-6
 # parameter 2t, so scaling exponents tabulated for the dilation are
 # evaluated at s = 2 t_n.
 SIEGEL_PARAMETER_RATIO = 2.0
+
+TRACE_FORMAT = "ballmaps-trace-v1"
 
 
 # --- the scaling tables -------------------------------------------------------
@@ -113,10 +115,6 @@ def cartan_sequence(m, M, n_values):
         phi = gm.cartan(float(n), m, dtype=WIDE_COMPLEX)
         pairs.append((phi, pm.block_extend(phi, M)))
     return pairs
-
-
-def _origin_image(g):
-    return gm._mobius_apply(as_wide_complex(g.matrix), np.zeros(g.dim, dtype=WIDE_COMPLEX))
 
 
 def _pair_residuals(f, phi_seq, psi_seq, seed):
@@ -184,6 +182,35 @@ class EscapeReport:
     escaped: bool
 
 
+def _orbit_pass(phi_seq, psi_seq, f):
+    """(wide canonical phi_n, phi_n(0) rows, psi_n(0) rows, EscapeReport).
+
+    Each side is one stacked action: phi_n by the wide canonical matrix the
+    frames reuse for t_n, psi_n by its widened matrix; without psi_seq,
+    psi_n(0) = f(phi_n(0)) from one evaluation (no psi side without f).
+    """
+    if psi_seq is not None and len(psi_seq) != len(phi_seq):
+        raise InputError("phi and psi sequences must have equal length")
+    m, M = (f.m, f.M) if f is not None else (phi_seq[0].dim, psi_seq and psi_seq[0].dim)
+    if any(phi.dim != m for phi in phi_seq) or any(psi.dim != M for psi in psi_seq or ()):
+        raise InputError("symmetry pair dimensions must match the map")
+    phis = [gm.Automorphism(as_wide_complex(phi.matrix)) for phi in phi_seq]
+    phi0 = gm._mobius_apply(np.stack([phi.matrix for phi in phis]), np.zeros(m, dtype=WIDE_COMPLEX))
+    if psi_seq is not None:
+        psi0 = gm._mobius_apply(np.stack([as_wide_complex(psi.matrix) for psi in psi_seq]),
+                                np.zeros(M, dtype=WIDE_COMPLEX))
+    else:
+        psi0 = f.eval(phi0) if f is not None else None
+    gaps = one_minus_norm(phi0).astype(np.float64)
+    psi_gaps = None if psi0 is None else one_minus_norm(psi0).astype(np.float64)
+    monotone = bool(np.all(np.diff(gaps) < 1e-15))
+    escaped = monotone and 0 < gaps[-1] <= GAP_THRESHOLD
+    if psi_gaps is not None:
+        escaped = escaped and 0 < psi_gaps[-1] <= math.sqrt(GAP_THRESHOLD)
+        psi_gaps = tuple(psi_gaps.tolist())
+    return phis, phi0, psi0, EscapeReport(tuple(gaps.tolist()), psi_gaps, monotone, bool(escaped))
+
+
 def escape_check(phi_seq, psi_seq=None, *, f=None):
     """Verify the orbit of 0 escapes to the boundary along the sequence.
 
@@ -191,22 +218,7 @@ def escape_check(phi_seq, psi_seq=None, *, f=None):
     A non-escaping sequence is reported, not raised; pipelines that need the
     limit raise DiagnosticError on a negative report.
     """
-    phi0 = [_origin_image(phi) for phi in phi_seq]
-    if psi_seq is not None and len(psi_seq) != len(phi0):
-        raise InputError("phi and psi sequences must have equal length")
-    phi_gaps = [float(one_minus_norm(p)) for p in phi0]
-    psi_gaps = []
-    if psi_seq is not None:
-        psi_gaps = [float(one_minus_norm(_origin_image(psi))) for psi in psi_seq]
-    elif f is not None:
-        psi_gaps = [float(one_minus_norm(f.eval(p))) for p in phi0]
-    gaps = np.asarray(phi_gaps)
-    monotone = bool(np.all(np.diff(gaps) < 1e-15)) if gaps.size > 1 else True
-    escaped = monotone and gaps[-1] <= GAP_THRESHOLD and gaps[-1] > 0
-    if psi_gaps:
-        escaped = escaped and psi_gaps[-1] <= math.sqrt(GAP_THRESHOLD) and psi_gaps[-1] > 0
-    return EscapeReport(tuple(phi_gaps), tuple(psi_gaps) if psi_gaps else None,
-                        monotone, bool(escaped))
+    return _orbit_pass(phi_seq, psi_seq, f)[-1]
 
 
 # --- trace construction ---------------------------------------------------------
@@ -269,7 +281,7 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
     if float(np.linalg.norm(f0)) > 1e-10:
         raise InputError("build_sequence needs f(0) = 0; run normalize_map first")
 
-    report = escape_check(phi_seq, psi_seq, f=f)
+    phis, phi0, psi0, report = _orbit_pass(phi_seq, psi_seq, f)
     if not report.escaped and not allow_non_escaping:
         raise DiagnosticError(
             f"sequence does not escape to the boundary (final gap {report.phi_gaps[-1]:.3g})")
@@ -281,11 +293,10 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
         residuals = _pair_residuals(f, phi_seq, psi_seq, seed)
 
     conj_pts = siegel_interior_points(rng_from_seed(seed), 20, m, scale=0.25)
-    psis = psi_seq if psi_seq is not None else [None] * len(phi_seq)
     frames = []
     try:
-        for phi, psi in zip(phi_seq, psis):
-            frames.append(_frame(f, phi, psi, conjugate))
+        for i, phi in enumerate(phis):
+            frames.append(_frame(f, phi, phi0[i], psi0[i], None if conjugate else psi_seq[i]))
     except (InputError, NumericError):
         # the indices before the failing frame come first in index order
         if frames:
@@ -330,10 +341,10 @@ class _Frame:
     psi0: np.ndarray
 
 
-def _frame(f, phi, psi, conjugate):
+def _frame(f, phi, p, psi0, psi):
+    """One index's frame from its orbit-pass row: wide canonical phi_n, p = phi_n(0)
+    and psi0 = psi_n(0); g_n comes from the pair, by flow conjugation if psi is None."""
     m, M = f.m, f.M
-    phi_w = gm.Automorphism(as_wide_complex(phi.matrix))
-    p = gm._mobius_apply(phi_w.matrix, np.zeros(m, dtype=WIDE_COMPLEX))
     r = np.sqrt((np.abs(p) ** 2).sum().real)
     if float(r) <= 0:
         raise InputError("sequence element fixes 0; no flow parameter exists")
@@ -356,12 +367,11 @@ def _frame(f, phi, psi, conjugate):
     l_inv = gm.inverse(l_n)
     pre_conj = gm.compose(k_n, a_t_m)
     post_conj = gm.compose(a_mt_M, l_inv)
-    if conjugate:
+    if psi is None:
         pre_g, post_g = pre_conj, post_conj
     else:
-        pre_g = gm.compose(gm.inverse(phi_w), pre_conj)
+        pre_g = gm.compose(gm.inverse(phi), pre_conj)
         post_g = gm.compose(post_conj, gm.Automorphism(as_wide_complex(psi.matrix)))
-    psi0 = _origin_image(psi) if psi is not None else f.eval(p)
     return _Frame(t, k_n, l_n, l_inv, pre_g, post_g, pre_conj, post_conj, psi0)
 
 
@@ -394,7 +404,7 @@ def _frame_jets(f, frames, conj_pts, conjugate):
     # (intermediate roundoff times e^{2t} divided by step^2); the scaling
     # law against the strictly-checked h jets is the oracle at large t
     eps_wide = float(np.finfo(WIDE_REAL).eps)
-    g_tols = [max(1e-4, 1e5 * eps_wide * _conditioning(fr) / 1e-4**2) for fr in frames]
+    g_tols = [max(1e-4, 1e5 * eps_wide * _conditioning(fr) / pm.FD_STEP**2) for fr in frames]
     g_jets = pm.jet_at_zero(pm.siegel_conjugate(g_maps), fd_tol=np.array(g_tols))
 
     conj_residuals = [None] * n
@@ -502,29 +512,20 @@ def extract_limit_jet(trace, tail=3):
 class NormalFormResiduals:
     vanishing_pattern: float
     lambda_phase: float
-    boundary_im_L: float | None = None
-    boundary_unitarity: float | None = None
-    final_flatten: float | None = None
 
 
 @dataclass(frozen=True)
 class QuadraticNormalForm:
-    """The limit data: dilation lambda, linear block U, quadratic block L.
-
-    U_prime is filled by final_normalization: a unitary whose first columns
-    are U / sqrt(lambda).
-    """
+    """The limit data: dilation lambda, linear block U, quadratic block L."""
 
     lam: float
     U: np.ndarray
     L: np.ndarray
     residuals: NormalFormResiduals
-    U_prime: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.U, self.L, self.U_prime):
-            if arr is not None:
-                np.asarray(arr).setflags(write=False)
+        for arr in (self.U, self.L):
+            np.asarray(arr).setflags(write=False)
 
 
 _FIRST_CLASSES = (
@@ -620,9 +621,8 @@ class FinalNormalization:
 def final_normalization(nf, limit):
     """Complete U/sqrt(lambda) to a unitary and flatten the limit to (z, 0).
 
-    `limit` is the limit map: a JetExpansion (evaluated as its quadratic
-    polynomial) or any object with a batch eval.  Returns the unitary-block
-    automorphism A and the worst sample residual of
+    `limit` is the limit jet, evaluated as its quadratic polynomial.  Returns
+    the unitary-block automorphism A and the worst sample residual of
     A o (dilation by log lambda) o g against the linear embedding.
     """
     bres = verify_boundary_identity(nf)
@@ -644,11 +644,7 @@ def final_normalization(nf, limit):
 
     m = nf.U.shape[1] + 1
     pts = siegel_interior_points(rng_from_seed(41), 50, m, scale=0.3)
-    if isinstance(limit, pm.JetExpansion):
-        values = pm.jet_quadratic_eval(limit, pts)
-    else:
-        values = np.atleast_2d(limit.eval(pts))
-    flowed = values.copy()
+    flowed = pm.jet_quadratic_eval(limit, pts)
     flowed[:, 0] /= nf.lam
     flowed[:, 1:] /= math.sqrt(nf.lam)
     flattened = np.concatenate(
@@ -696,6 +692,8 @@ def run_pipeline(f, phi_seq, psi_seq=None, *, conjugate=False, tail=3,
     """
     if morse_trials < 0:
         raise InputError(f"morse_trials must be nonnegative, got {morse_trials}")
+    if len(phi_seq) < 2:
+        raise InputError(f"the sequence needs at least 2 pairs, got {len(phi_seq)}")
     with _Stage("normalize_map"):
         if conjugate:
             f_n, pairs_psi = _recentre(pm.as_transformed(f), psi_seq)
@@ -717,21 +715,11 @@ def run_pipeline(f, phi_seq, psi_seq=None, *, conjugate=False, tail=3,
         nf = quadratic_normal_form(limit_jet)
     with _Stage("final_normalization"):
         final = final_normalization(nf, limit_jet)
-    nf = replace(nf, U_prime=final.U_prime,
-                 residuals=replace(nf.residuals,
-                                   boundary_im_L=final.boundary.im_L,
-                                   boundary_unitarity=final.boundary.unitarity,
-                                   final_flatten=final.flatten_residual))
 
-    constants = None
-    within = None
+    constants = within = None
     if morse_trials > 0:
         with _Stage("radial_bound"):
-            C = pm.lipschitz_boundary_constant(f_n).C
-            base = pm.base_offset(f_n)
-            beta = kb.quasi_geodesic_beta(C, base)
-            D = kb.estimate_morse_constant(f_n.M, 1.0, beta, base, morse_trials, 53)
-            constants = kb.RadialBoundConstants(C=C, D=D, base_offset=base)
+            constants = pm.radial_bound_constants(f_n, morse_trials, 53)
             within = all(idx.compactness_dist <= constants.bound for idx in trace.indices)
     return PipelineResult(f_n, trace, scaling_error, limit_jet, convergence,
                           nf, final, constants, within)
@@ -760,7 +748,7 @@ def trace_document(result):
     """
     trace = result.trace
     doc = {
-        "format": "ballmaps-trace-v1",
+        "format": TRACE_FORMAT,
         "m": trace.m,
         "M": trace.M,
         "mode": trace.mode,

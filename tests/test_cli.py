@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 
+import ballmaps as bm
 from ballmaps import cli
+from ballmaps import proper_maps as pm
+from ballmaps import rescaling as rs
 
 
 def run(capsys, args):
@@ -93,6 +96,36 @@ class TestRadialSweep:
         assert code == 2
         assert "--t-grid" in err
 
+    def test_empty_t_grid_exit(self, capsys):
+        code, out, err = run(capsys, [
+            "radial-sweep", "--map", "linear", "--m", "2", "--M", "4",
+            "--directions", "2", "--morse-trials", "0", "--t-grid", ""])
+        assert code == 2
+        assert "--t-grid" in err and out == ""
+
+    def test_constants_are_the_radial_bound_of_the_pipeline(self, capsys, tmp_path):
+        # one recipe: the sweep's constants are those of radial_bound_constants
+        # for its map, trial count and seed, and on the linear map (which the
+        # pipeline leaves as it is) those of the pipeline's radial_bound stage
+        out_path = tmp_path / "sweep.json"
+        for flags, spec in ((["--map", "whitney"], bm.catalog("whitney")),
+                            (["--map", "power", "--m", "3", "--d", "3"],
+                             bm.catalog("power", m=3, d=3)),
+                            (["--map", "linear", "--m", "2", "--M", "4"],
+                             bm.catalog("linear", m=2, M=4))):
+            assert run(capsys, ["radial-sweep", *flags, "--directions", "2",
+                                "--morse-trials", "3", "--seed", "53", "--format", "json",
+                                "--out", str(out_path)])[0] == 0
+            doc = json.loads(out_path.read_text())
+            got = (doc["C"], doc["beta"], doc["base_offset"], doc["D"], doc["bound"])
+            c = pm.radial_bound_constants(spec, 3, 53)
+            assert got == (c.C, c.beta, c.base_offset, c.D, c.bound)
+        pairs = rs.cartan_sequence(2, 4, range(1, 8))
+        c = rs.run_pipeline(spec, [p for p, _ in pairs], [q for _, q in pairs],
+                            morse_trials=3).constants
+        assert c.D > 0
+        assert got == (c.C, c.beta, c.base_offset, c.D, c.bound)
+
     def test_directions_must_be_positive(self, capsys):
         for count in ("0", "-3"):
             code, _, err = run(capsys, [
@@ -182,6 +215,35 @@ class TestRescale:
         assert code == 2
         assert "malformed sequence file" in err
 
+    def test_one_pair_exit(self, capsys):
+        code, out, err = run(capsys, [
+            "rescale", "--map", "linear", "--m", "2", "--M", "4",
+            "--n-start", "5", "--n-end", "5"])
+        assert code == 2
+        assert "needs at least 2 pairs, got 1" in err and "tail" not in err
+        assert out == ""
+
+    def test_mixed_matrix_sizes_exit(self, capsys, tmp_path):
+        # a 4x4/6x6 pair among 3x3/5x5 ones: refused before any stacking
+        seq = tmp_path / "seq.json"
+        pairs = []
+        for n, (m, M) in enumerate([(2, 4), (2, 4), (3, 5), (2, 4)], start=1):
+            phi = np.eye(m + 1, dtype=complex)
+            phi[0, 0] = phi[m, m] = np.cosh(n)
+            phi[0, m] = phi[m, 0] = np.sinh(n)
+            psi = np.eye(M + 1, dtype=complex)
+            psi[0, 0] = psi[M, M] = np.cosh(n)
+            psi[0, M] = psi[M, 0] = np.sinh(n)
+            pairs.append({"phi": complex_json(phi), "psi": complex_json(psi)})
+        seq.write_text(json.dumps({"pairs": pairs}))
+        for mode in ([], ["--allow-non-member"]):
+            code, out, err = run(capsys, [
+                "rescale", "--map", "linear", "--m", "2", "--M", "4",
+                "--seq", "custom-file", "--seq-file", str(seq), *mode])
+            assert code == 2
+            assert "symmetry pair dimensions must match the map" in err
+            assert "Traceback" not in err and out == ""
+
     def test_negative_morse_trials_exit(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
         code, out, err = run(capsys, [
@@ -206,6 +268,32 @@ class TestReport:
         path = tmp_path / "not_trace.json"
         path.write_text("{}")
         assert run(capsys, ["report", "--trace", str(path)])[0] == 2
+
+    def test_trace_without_fields_exit(self, capsys, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"format": rs.TRACE_FORMAT}))
+        code, out, err = run(capsys, ["report", "--trace", str(path)])
+        assert code == 2
+        assert "trace field m is missing" in err and out == ""
+
+    def test_index_without_order_exit(self, capsys, tmp_path):
+        trace = tmp_path / "trace.json"
+        assert run(capsys, ["rescale", "--map", "linear", "--m", "2", "--M", "4",
+                            "--n-start", "1", "--n-end", "6",
+                            "--out", str(trace)])[0] == 0
+        doc = json.loads(trace.read_text())
+        del doc["indices"][2]["order"]
+        trace.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["report", "--trace", str(trace)])
+        assert code == 2
+        assert "trace field indices[2].order is missing or not of type number" in err
+        assert out == ""
+        doc["indices"][2]["order"] = 2
+        doc["normal_form"]["lambda"] = "1"
+        trace.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["report", "--trace", str(trace)])
+        assert code == 2
+        assert "trace field normal_form.lambda is missing or not of type number" in err
 
     def test_rejects_non_object_json(self, capsys, tmp_path):
         path = tmp_path / "list.json"
@@ -236,6 +324,13 @@ class TestMorseCommand:
         assert out1 == out2
         assert out1[0] == 0
         assert float(out1[1]) > 0
+
+
+    def test_dimension_must_be_positive(self, capsys):
+        code, out, err = run(capsys, ["morse", "--m", "0", "--trials", "2"])
+        assert code == 2
+        assert "m >= 1, got m = 0" in err and "unit vector" not in err
+        assert out == ""
 
 
 class TestVerifyGroup:

@@ -237,7 +237,8 @@ class TestMapSpecFiles:
         # bypass properness validation: file IO must round-trip any spec
         pm.save_map_spec(spec, path)
         import json
-        doc = json.load(open(path))
+        with open(path) as fh:
+            doc = json.load(fh)
         back = pm.ProperMapSpec(
             int(doc["domain_dim"]), int(doc["target_dim"]),
             tuple(tuple((tuple(t["exponents"]), complex(t["coef"][0], t["coef"][1]))

@@ -427,6 +427,29 @@ class TestPipeline:
         rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis)
         assert len(calls) == 2 * len(phis)
 
+    def test_one_orbit_pass_per_sequence(self, monkeypatch):
+        # phi_n(0) and psi_n(0) are one stacked action each, shared by the
+        # escape gate and the frames; forming them index by index in both
+        # places takes 103 actions
+        calls = []
+        original = gm._mobius_apply
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gm, "_mobius_apply", counting)
+        phis, psis = cartan_pairs(3, 5, range(1, 13))
+        rs.run_pipeline(bm.catalog("linear", m=3, M=5), phis, psis)
+        assert len(calls) <= 57
+
+    def test_one_pair_is_too_short(self):
+        phis, psis = cartan_pairs(2, 4, [5])
+        for conjugate in (False, True):
+            with pytest.raises(InputError, match="at least 2 pairs, got 1"):
+                rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis,
+                                conjugate=conjugate)
+
     def test_stage_names_in_errors(self):
         phis, psis = cartan_pairs(2, 3, range(1, 5))
         with pytest.raises(SymmetryError) as info:

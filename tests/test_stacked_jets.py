@@ -26,6 +26,7 @@ from ballmaps.numerics import (
     WIDE_REAL,
     as_wide_complex,
     interior_points,
+    one_minus_norm,
     random_unitary,
     rng_from_seed,
     siegel_interior_points,
@@ -73,11 +74,19 @@ def chains(name, kind):
     f = pm.as_transformed(MAPS[name]())
     conjugate = not name.startswith("linear")
     phis, psis = sequence(f.m, f.M, kind)
-    frames = [rs._frame(f, phi, None if conjugate else psi, conjugate)
-              for phi, psi in zip(phis, psis)]
+    phis, phi0, psi0, _ = rs._orbit_pass(phis, None if conjugate else psis, f)
+    frames = [rs._frame(f, phi, p, q, None if conjugate else psi)
+              for phi, p, q, psi in zip(phis, phi0, psi0, psis)]
     h = [f.with_precomposition(fr.k_n).with_postcomposition(fr.l_inv) for fr in frames]
     g = [f.with_precomposition(fr.pre_g).with_postcomposition(fr.post_g) for fr in frames]
     return h, g
+
+
+def origin_image(matrix):
+    """g(0) for one widened matrix alone: the reference for the stacked
+    orbit pass."""
+    return gm._mobius_apply(as_wide_complex(matrix),
+                            np.zeros(matrix.shape[0] - 1, dtype=WIDE_COMPLEX))
 
 
 def moebius_stack(*matrices, name="pre"):
@@ -109,6 +118,43 @@ def test_stacked_jets_equal_one_chain_loop(name, kind):
                 assert same_bits(getattr(jets[i], field), getattr(ref_jet, field))
             assert same_bits(jets[i].error_norm, ref_jet.error_norm)
             assert same_bits(values[i], single.eval(conj_pts))
+
+
+@pytest.mark.parametrize("double", (False, True))
+@pytest.mark.parametrize("kind", SEQUENCES)
+@pytest.mark.parametrize("name", MAPS)
+def test_orbit_pass_equals_per_index_images(name, kind, double):
+    # phi acts by its wide canonical matrix, the one t_n comes from; psi by
+    # its own matrix widened; without psi, psi_n(0) = f(phi_n(0)).  Double
+    # matrices stand for file sequences, whose canonical phase moves in
+    # extended precision.
+    f = pm.as_transformed(MAPS[name]())
+    phis, psis = sequence(f.m, f.M, kind)
+    if double:
+        phis, psis = [p.as_double() for p in phis], [q.as_double() for q in psis]
+    wide, phi0, psi0, _ = rs._orbit_pass(phis, psis, f)
+    f_phi0 = rs._orbit_pass(phis, None, f)[2]
+    for i, (phi, psi) in enumerate(zip(phis, psis)):
+        canonical = gm.Automorphism(as_wide_complex(phi.matrix)).matrix
+        assert same_bits(wide[i].matrix, canonical)
+        p = origin_image(canonical)
+        assert same_bits(phi0[i], p)
+        assert same_bits(psi0[i], origin_image(psi.matrix))
+        assert same_bits(f_phi0[i], f.eval(p))
+
+
+@pytest.mark.parametrize("conjugate", (False, True))
+@pytest.mark.parametrize("seed", (7, 8, 10))
+def test_phi_gap_is_the_gap_behind_t_n(seed, conjugate):
+    # a file sequence: double matrices, recanonicalised in extended precision
+    f = pm.as_transformed(bm.catalog("linear", m=3, M=5))
+    phis, psis = sequence(3, 5, "rotated", seed=seed)
+    phis, psis = [p.as_double() for p in phis], [q.as_double() for q in psis]
+    trace = rs.build_sequence(f, phis, psis, conjugate=conjugate)
+    for idx, phi in zip(trace.indices, phis):
+        p = origin_image(gm.Automorphism(as_wide_complex(phi.matrix)).matrix)
+        assert idx.t_n == float(np.arctanh(np.sqrt((np.abs(p) ** 2).sum().real)))
+        assert idx.phi_gap == float(one_minus_norm(p))
 
 
 def _pair_residual_reference(f, phi, psi, sample_count, seed):
