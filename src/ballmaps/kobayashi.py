@@ -32,7 +32,7 @@ def _coords(z):
     return np.asarray(z, dtype=np.complex128).reshape(-1)
 
 
-def _cosh_minus_one(a, b, ga, gb):
+def _cosh_minus_one(a, b, ga, gb, work=(None, None)):
     """Numerator of cosh^2(dist) - 1 for broadcast rows a, b with gaps ga, gb.
 
     The closed form has cosh^2(dist) - 1 = N / (ga gb) with
@@ -45,10 +45,12 @@ def _cosh_minus_one(a, b, ga, gb):
     again without cancellation.  Coinciding points give exactly 0, tiny
     distances keep full relative accuracy, and swapping z and w only flips
     the sign of d, so the result is bitwise symmetric.  a and b are wide
-    complex arrays whose last axis is the coordinate.
+    complex arrays whose last axis is the coordinate.  `work` may hold two
+    wide complex arrays of their broadcast shape that receive d and 2 conj(s)
+    (see hausdorff_pseudo_distance).
     """
-    d = a - b
-    two_s_conj = np.conj(a) + np.conj(b)
+    d = np.subtract(a, b, out=work[0])
+    two_s_conj = np.add(np.conj(a), np.conj(b), out=work[1])
     d_parts = d.view(WIDE_REAL)
     d_sq = np.einsum("...k,...k->...", d_parts, d_parts)
     d_dot_2s = np.einsum("...k,...k->...", d, two_s_conj)
@@ -126,6 +128,8 @@ class SampledCurve:
             raise InputError("params and points must be nonempty and of equal length")
         if params.size > 1 and not np.all(np.diff(params) > 0):
             raise InputError("curve parameters must be strictly increasing")
+        if not np.all(np.isfinite(points)):
+            raise InputError("curve points must be finite")
         if self.model == "ball":
             if np.any(one_minus_sq_norm(points) <= 0):
                 raise InputError("ball-model curve points must be interior")
@@ -211,16 +215,66 @@ def _max_adjacent(points):
     return float(dist_rows(points[:-1], points[1:]).max())
 
 
+# Rows of the first curve per block of hausdorff_pseudo_distance: a block
+# against all of the second curve has at most this many (row, point,
+# coordinate) entries, so each of its two wide complex (32-byte) work arrays
+# takes 1 MiB and a block stays near a 2 MiB L2 cache.  Chosen by measurement
+# in a fresh process on 256 x 256 pairs: in m = 8, 2^15 to 2^17 are fastest,
+# while 2^12 and one block of all pairs (2^19 entries) are 1.25x and 1.4x
+# slower; m = 3 is flat from 2^12 up.  Any value gives the same bits.
+BLOCK_ENTRIES = 2 ** 15
+
+# Entries whose excess cosh^2(dist) - 1 lies within this factor of their row
+# or column minimum go through acosh; no other entry can hold a minimum
+# distance.  _acosh_from_excess is within a few wide ulps (about 1e-18
+# relative) of acosh(sqrt(1 + e)), which increases, and a relative step of
+# 1e-12 in e >= 0 moves that function by more than 8e-17 relative for every
+# finite wide e, so an entry outside the band never rounds to a smaller
+# distance than its row's or column's minimum.  The rounded map itself does
+# step down by a wide ulp here and there, so applying acosh to the minimum
+# excess alone could miss the minimum distance by a double ulp.
+_NEAR_MIN = 1 + WIDE_REAL(1e-12)
+
+
 def hausdorff_pseudo_distance(curve_a, curve_b):
-    """Max of the two directed sup-inf quantities over the sample grids."""
+    """Max of the two directed sup-inf quantities over the sample grids.
+
+    The value is bit for bit max(d.min(1).max(), d.min(0).max()) of
+    d = dist_matrix of the two point sets, computed over blocks of rows (see
+    BLOCK_ENTRIES) on the wide excess cosh^2(dist) - 1, with acosh applied
+    only to the entries near a row or column minimum (see _NEAR_MIN).  The
+    points of a SampledCurve are interior, so every excess is finite.
+    """
     if curve_a.model != curve_b.model:
         raise InputError("hausdorff_pseudo_distance needs curves in the same model")
     ca, cb = curve_a.to_ball(), curve_b.to_ball()
-    d = dist_matrix(ca.points, cb.points)
-    directed_ab = float(d.min(axis=1).max())
-    directed_ba = float(d.min(axis=0).max())
+    a = as_wide_complex(ca.points)
+    b = as_wide_complex(cb.points)
+    if a.shape[-1] != b.shape[-1]:
+        raise InputError("distances need point batches of equal dimension")
+    ga, gb = one_minus_sq_norm(a), one_minus_sq_norm(b)[None]
+    step = max(1, BLOCK_ENTRIES // b.size)
+    # one pair of work arrays serves every block: fresh 1 MiB temporaries per
+    # block made glibc map or trim and then fault in their pages on every
+    # block (9.7k page faults per 256 x 256 call in m = 8, a third of its time)
+    work = np.empty((2, min(step, a.shape[0])) + b.shape, dtype=a.dtype)
+    row_min = np.empty(a.shape[0])
+    col_min = np.full(b.shape[0], np.inf)
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
+        gap_a = ga[rows, None]
+        numerator = _cosh_minus_one(a[rows, None, :], b[None], gap_a, gb,
+                                    work[:, :gap_a.shape[0]])
+        excess = numerator / (gap_a * gb)
+        near = ((excess <= excess.min(axis=1, keepdims=True) * _NEAR_MIN)
+                | (excess <= excess.min(axis=0) * _NEAR_MIN))
+        d = np.full(excess.shape, np.inf)
+        d[near] = _acosh_from_excess(excess[near])
+        row_min[rows] = d.min(axis=1)
+        np.minimum(col_min, d.min(axis=0), out=col_min)
+    value = max(float(row_min.max()), float(col_min.max()))
     slack = max(_max_adjacent(ca.points), _max_adjacent(cb.points))
-    return HausdorffEstimate(max(directed_ab, directed_ba), slack)
+    return HausdorffEstimate(value, slack)
 
 
 def quasi_geodesic_beta(C, base):
@@ -252,6 +306,11 @@ class RadialBoundConstants:
         return 2.0 * self.D + self.beta + self.base_offset
 
 
+# Distance from 0 of the largest double below 1 on an axis, atanh(1 - 2^-53):
+# a point farther out cannot be stored strictly inside the ball.
+MAX_DOUBLE_DIST = math.atanh(1.0 - 2.0 ** -53)
+
+
 def _boost(t, x):
     """The flow a_t of `cartan` on the rows of x, in closed form.
 
@@ -279,17 +338,27 @@ def _offset_samples(k, u, directions, radii):
     return np.where(u[:, None] > 0, moved @ k.T, moved)
 
 
-def _perp_direction(rng, v):
-    """A unit vector orthogonal to the complex line through v."""
+def _perp_directions(rng, v, count):
+    """`count` unit vectors orthogonal to the complex line through v, from one draw.
+
+    Row i takes the i-th consecutive slice of the generator's stream (a sign
+    for m = 1, m real then m imaginary parts otherwise), so the rows are the
+    directions that `count` one-at-a-time draws would give, bit for bit.  Each
+    row keeps its own np.linalg.norm, and a row whose projection is below
+    1e-12 falls back to i v.
+    """
     m = v.shape[0]
     if m == 1:
-        return 1j * v * np.sign(rng.standard_normal())
-    w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    w = w - (w * np.conj(v)).sum() * v
-    n = np.linalg.norm(w)
-    if n < 1e-12:
-        return 1j * v
-    return w / n
+        return 1j * v * np.sign(rng.standard_normal(count))[:, None]
+    parts = rng.standard_normal((count, 2, m))
+    w = parts[:, 0] + 1j * parts[:, 1]
+    w = w - (w * np.conj(v)).sum(axis=1)[:, None] * v
+    norms = np.array([np.linalg.norm(row) for row in w])
+    out = np.empty_like(w)
+    ok = norms >= 1e-12
+    out[ok] = w[ok] / norms[ok, None]
+    out[~ok] = 1j * v
+    return out
 
 
 def estimate_morse_constant(m, alpha, beta, R, trials, seed):
@@ -304,11 +373,28 @@ def estimate_morse_constant(m, alpha, beta, R, trials, seed):
     """
     if m < 1:
         raise InputError(f"need a ball dimension m >= 1, got m = {m}")
-    if alpha < 1.0 or beta < 0.0 or R < 0.0:
-        raise InputError("need alpha >= 1, beta >= 0, R >= 0")
+    for name, value, low in (("alpha", alpha, 1.0), ("beta", beta, 0.0), ("R", R, 0.0)):
+        if not (math.isfinite(value) and value >= low):
+            raise InputError(f"need a finite {name} >= {low:g}, got {name} = {value}")
     if trials < 1:
         raise InputError("need at least one trial")
     samples, span, pieces = 64, 6.0, 6
+    end_cap = min(R, 0.49 * beta)
+    # Samples lie within span + 0.49 beta of 0, and the geodesic joining the
+    # endpoints is sampled out to their distance, at most span + 2 end_cap,
+    # from one of them; past MAX_DOUBLE_DIST a double point rounds onto the
+    # sphere.
+    beta_max = (MAX_DOUBLE_DIST - span) / 0.49
+    if beta > beta_max:
+        raise InputError(f"beta = {beta} puts samples up to {span + 0.49 * beta:.4g} from 0, "
+                         f"past the {MAX_DOUBLE_DIST:.4g} that double precision resolves; "
+                         f"need beta <= {beta_max:.6g}")
+    cap_max = 0.5 * (MAX_DOUBLE_DIST - span)
+    if end_cap > cap_max:
+        raise InputError(f"R = {R} with beta = {beta} puts the endpoints up to "
+                         f"{span + 2.0 * end_cap:.4g} apart, past the {MAX_DOUBLE_DIST:.4g} "
+                         f"that double precision resolves; "
+                         f"need min(R, 0.49 beta) <= {cap_max:.6g}")
     rng = rng_from_seed(seed)
     best = 0.0
     for _ in range(trials):
@@ -322,9 +408,8 @@ def estimate_morse_constant(m, alpha, beta, R, trials, seed):
         u = np.interp(p, param_breaks, geo_breaks)
         k = gm.rotation_mapping_e1(v).matrix[:-1, :-1]
 
-        dirs = np.array([_perp_direction(rng, v) for _ in range(samples)])
+        dirs = _perp_directions(rng, v, samples)
         radii = rng.random(samples) * 0.49 * beta
-        end_cap = min(R, 0.49 * beta)
         radii[0] = rng.random() * end_cap
         radii[-1] = rng.random() * end_cap
         # jitter below beta/2 certifies by the triangle inequality, up to the

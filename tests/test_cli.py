@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import ballmaps as bm
 from ballmaps import cli
@@ -314,6 +315,21 @@ class TestHausdorffCommand:
         assert code == 0
         assert out.split()[0] == "0"
 
+    @pytest.mark.parametrize("model,bad", [("ball", "[0, NaN]"), ("siegel", "[0, NaN]"),
+                                           ("siegel", "[Infinity, 0.5]")])
+    def test_non_finite_point_exit(self, capsys, tmp_path, model, bad):
+        # json.load reads NaN and Infinity, which pass "gap <= 0" and "rho <= 0" tests
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"model": model, "params": [0, 1],
+                                    "points": [[[0, 0.1]], [[0, 0.5]]]}))
+        worse = tmp_path / "bad.json"
+        worse.write_text('{"model": "%s", "params": [0, 1], '
+                         '"points": [[[0, 0.1]], [%s]]}' % (model, bad))
+        assert run(capsys, ["hausdorff", "--curve1", str(good), "--curve2", str(good)])[0] == 0
+        code, out, err = run(capsys, ["hausdorff", "--curve1", str(good), "--curve2", str(worse)])
+        assert code == 2
+        assert "curve points must be finite" in err and out == ""
+
 
 class TestMorseCommand:
     def test_deterministic(self, capsys):
@@ -331,6 +347,35 @@ class TestMorseCommand:
         assert code == 2
         assert "m >= 1, got m = 0" in err and "unit vector" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--alpha", "nan"),
+                                            ("--beta", "nan"), ("--R", "nan")])
+    def test_non_finite_input_exit(self, capsys, flag, value):
+        code, out, err = run(capsys, ["morse", "--m", "2", "--trials", "3", flag, value])
+        assert code == 2
+        name = flag[2:]
+        assert f"need a finite {name} >=" in err and f"got {name} = {value}" in err
+        assert out == ""
+
+    def test_beta_limit(self, capsys):
+        # samples reach span + 0.49 beta = 6 + 0.49 beta from 0, and a double
+        # point resolves distances up to atanh(1 - 2^-53) = 18.715
+        assert run(capsys, ["morse", "--m", "2", "--trials", "3", "--beta", "25.9"])[0] == 0
+        for beta in ("26", "40"):
+            code, out, err = run(capsys, ["morse", "--m", "2", "--trials", "3", "--beta", beta])
+            assert code == 2
+            assert f"beta = {float(beta)}" in err and "need beta <= 25.9489" in err
+            assert "interior" not in err and out == ""
+
+    def test_endpoint_offset_limit(self, capsys):
+        # the endpoints lie up to 6 + 2 min(R, 0.49 beta) apart
+        base = ["morse", "--m", "3", "--trials", "3", "--beta", "25.9"]
+        assert run(capsys, base + ["--R", "6.35"])[0] == 0
+        code, _, err = run(capsys, base + ["--R", "6.4"])
+        assert code == 2
+        assert "R = 6.4" in err and "need min(R, 0.49 beta) <= 6.35749" in err
+        assert run(capsys, ["morse", "--m", "3", "--trials", "3", "--beta", "12.9",
+                            "--R", "100"])[0] == 0
 
 
 class TestVerifyGroup:
@@ -375,3 +420,32 @@ class TestCatalogCommand:
                                     "--allow-non-member"])
         # conjugate traces of the power map stop at the pattern check too
         assert code == 3
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_successive_commands_keep_their_own_defaults(self, capsys, monkeypatch):
+        seen = []
+        for name in ("cmd_rescale", "cmd_radial_sweep"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+        sweep = ["radial-sweep", "--map", "linear"]
+        rescale = ["rescale", "--map", "linear"]
+        for argv in (sweep, rescale, sweep, rescale):
+            assert run(capsys, argv)[0] == 0
+        assert [(a.command, a.seed, a.morse_trials) for a in seen] == [
+            ("radial-sweep", 0, 24), ("rescale", 31, 0)] * 2
+        assert not hasattr(seen[1], "directions") and not hasattr(seen[0], "n_end")
+
+    def test_parse_error_leaves_the_next_call_alone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["morse", "--trials", "2"])
+        assert exc.value.code == 2
+        assert "--m" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.main(["rescale", "--n-end", "x"])
+        code, out, _ = run(capsys, ["dist", "--m", "1", "--z", "0", "--w", "0.5"])
+        assert (code, out.strip()) == (0, "0.549306144334055")
+        code, out, _ = run(capsys, ["morse", "--m", "1", "--beta", "1", "--trials", "2"])
+        assert code == 0 and float(out) > 0

@@ -1,9 +1,12 @@
 """The batched Kobayashi kernels against independent references.
 
 The distance kernel is checked against a 50-digit mpmath oracle and against
-the Gram-minors form of the same Lagrange identity that it replaced; the
+the Gram-minors form of the same Lagrange identity that it replaced.  The
+row-blocked Hausdorff pseudo-distance, which applies acosh only near the
+minima of the excess, must equal the max-min of dist_matrix bit for bit.  The
 closed-form Morse sample offsets are checked against the per-sample path
-through the group API.
+through the group API, and the one-draw Morse directions against the
+per-sample draws they replaced (kept here).
 """
 
 import mpmath
@@ -12,10 +15,13 @@ import pytest
 
 from ballmaps import group_models as gm
 from ballmaps import kobayashi as kb
+from ballmaps.errors import InputError
 from ballmaps.numerics import (
+    WIDE_REAL,
     as_wide_complex,
     one_minus_sq_norm,
     rng_from_seed,
+    siegel_interior_points,
     unit_vectors,
 )
 
@@ -67,6 +73,19 @@ def _minors_tolerance(m, gap, sep):
     of them enter the Gram defect.
     """
     return _dist_tolerance(m, gap) + m * m * EPS_WIDE / (sep * gap)
+
+
+def _perp_direction(rng, v):
+    """The per-sample draw that kobayashi._perp_directions replaced."""
+    m = v.shape[0]
+    if m == 1:
+        return 1j * v * np.sign(rng.standard_normal())
+    w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    w = w - (w * np.conj(v)).sum() * v
+    n = np.linalg.norm(w)
+    if n < 1e-12:
+        return 1j * v
+    return w / n
 
 
 def _offset_point(point, direction, radius):
@@ -135,6 +154,87 @@ def test_distance_kernel_exact_zero_and_symmetry(m):
     assert kb._max_adjacent(pts) == max(d[i, i + 1] for i in range(len(pts) - 1))
 
 
+# --- row blocks and the Hausdorff reduction -----------------------------------------
+
+def _hausdorff_pair(rng, m, n_a, n_b, model):
+    """Two curves whose points include near-coinciding pairs and points near the sphere."""
+    if model == "siegel":
+        pts_a, pts_b = (siegel_interior_points(rng, n, m) for n in (n_a, n_b))
+    else:
+        radii = 1.0 - 10.0 ** -rng.uniform(0.5, 12, n_a + n_b)
+        pts = unit_vectors(rng, n_a + n_b, m) * radii[:, None]
+        pts_a, pts_b = pts[:n_a], pts[n_a:]
+    # every third point of b sits about 1e-12 from a point of a, the last one on it
+    k = min(n_a, n_b)
+    pts_b[:k:3] = pts_a[:k:3] + 1e-12 * unit_vectors(rng, k, m)[::3]
+    if model == "ball":
+        pts_b[:k:3] *= (1.0 - 1e-12)
+    pts_b[k - 1] = pts_a[k - 1]
+    return (kb.SampledCurve(model, np.arange(n_a, dtype=float), pts_a),
+            kb.SampledCurve(model, np.arange(n_b, dtype=float), pts_b))
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("model", ["ball", "siegel"])
+def test_blocked_hausdorff_matches_max_min(m, model):
+    rng = rng_from_seed(500 + m)
+    for n_a, n_b in [(1, 7), (7, 1), (40, 64), (257, 64), (64, 257)]:
+        ca, cb = _hausdorff_pair(rng, m, n_a, n_b, model)
+        d = kb.dist_matrix(ca.to_ball().points, cb.to_ball().points)
+        assert np.all(np.isfinite(d))
+        ref = max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
+        assert kb.hausdorff_pseudo_distance(ca, cb).value == ref
+        assert kb.hausdorff_pseudo_distance(cb, ca).value == ref
+
+
+def test_excess_outside_the_band_never_gives_a_smaller_distance():
+    # what the band of hausdorff_pseudo_distance needs: acosh of an excess past
+    # _NEAR_MIN times a minimum is never below acosh of that minimum
+    rng = rng_from_seed(600)
+    x = np.concatenate([[0.0], 10.0 ** rng.uniform(-36, 36, 100_000)]).astype(WIDE_REAL)
+    x = np.concatenate([x, [np.finfo(WIDE_REAL).max / 2]])
+    past = np.nextafter(x * kb._NEAR_MIN, WIDE_REAL(np.inf))
+    assert np.all(kb._acosh_from_excess(past) >= kb._acosh_from_excess(x))
+
+
+def test_distance_batches_of_unequal_dimension_rejected():
+    with pytest.raises(InputError, match="equal dimension"):
+        kb.dist_matrix(np.zeros((2, 2)), np.zeros((3, 3)))
+    with pytest.raises(InputError, match="equal dimension"):
+        kb.dist_rows(np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(InputError, match="equal dimension"):
+        kb.hausdorff_pseudo_distance(kb.radial_geodesic([1.0, 0.0], [0.0, 1.0]),
+                                     kb.radial_geodesic([1.0], [0.0, 1.0]))
+
+
+# --- one-draw Morse directions --------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_one_draw_directions_match_per_sample_draws(m):
+    for seed in range(20):
+        per_sample, batched = rng_from_seed(seed), rng_from_seed(seed)
+        v = unit_vectors(per_sample, 1, m)[0]
+        unit_vectors(batched, 1, m)
+        ref = np.array([_perp_direction(per_sample, v) for _ in range(64)])
+        got = kb._perp_directions(batched, v, 64)
+        assert got.tobytes() == ref.tobytes()
+        assert batched.bit_generator.state == per_sample.bit_generator.state
+    if m > 1:
+        # a draw along v projects below 1e-12 and falls back to i v, as one draw at a time did
+        e1 = np.eye(m)[0]
+        assert np.array_equal(kb._perp_directions(_AlongV(), e1, 2), [np.eye(m)[-1], 1j * e1])
+
+
+class _AlongV:
+    """A generator stub: the first direction draw is e_m, the second e1."""
+
+    def standard_normal(self, shape):
+        out = np.zeros(shape)
+        out[0, 0, -1] = 1.0
+        out[1, 0, 0] = 1.0
+        return out
+
+
 # --- closed-form Morse offsets ------------------------------------------------------
 
 SPAN = 6.0
@@ -146,7 +246,7 @@ def test_offset_samples_match_per_sample_transport(m):
     samples = 40
     v = unit_vectors(rng, 1, m)[0]
     u = np.linspace(0.0, SPAN, samples)
-    dirs = np.array([kb._perp_direction(rng, v) for _ in range(samples)])
+    dirs = kb._perp_directions(rng, v, samples)
     radii = rng.random(samples) * 0.49
     radii[[0, samples // 2, -1]] = [0.3, 0.0, 0.0]
     k = gm.rotation_mapping_e1(v).matrix[:-1, :-1]
