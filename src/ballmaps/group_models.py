@@ -17,7 +17,6 @@ import numpy as np
 from .errors import InputError, NumericError
 from .numerics import (
     WIDE_COMPLEX,
-    WIDE_REAL,
     as_wide_complex,
     as_wide_real,
     random_unitary,
@@ -30,6 +29,10 @@ TOL_DENOMINATOR = 1e-13
 
 # Residual below which a Gram-Schmidt candidate is considered dependent.
 GRAM_SCHMIDT_SKIP = 1e-8
+# J g* J g - I of a group member, computed in extended precision from a
+# matrix rounded to its dtype, is at most about (d+1) eps max|g|^2; this
+# factor is the margin over that roundoff before `inverse` falls back.
+INVERSE_DEFECT_FACTOR = 4.0
 
 
 def signature_matrix(dim, dtype=np.complex128):
@@ -49,17 +52,22 @@ def hermitian_form(z, w):
     return complex(prods[:-1].sum() - prods[-1])
 
 
-def _canonical_phase(matrix):
-    """Scale by a unit scalar so the largest-modulus entry of the last row is
-    real positive; this pins down a unique representative of the projective class."""
-    row = matrix[-1]
-    idx = int(np.argmax(np.abs(row)))
-    pivot = row[idx]
-    mod = abs(pivot)
-    if mod == 0.0:
-        raise NumericError("degenerate matrix: last row is zero")
-    out = matrix * (mod / pivot)
-    out[-1, idx] = out[-1, idx].real  # exact realness for deterministic equality
+def _canonical_phase(matrices):
+    """Scale each matrix of a (n, d, d) stack by a unit scalar so the
+    largest-modulus entry of its last row is real positive; this pins down a
+    unique representative of the projective class.  Normalizing a canonical
+    matrix again is not the identity: the rounded scale can move the pivot."""
+    at = np.arange(matrices.shape[0])
+    rows = matrices[:, -1]
+    idx = np.argmax(np.abs(rows), axis=-1)
+    pivot = rows[at, idx]
+    # abs() of one complex scalar is hypot; np.abs of a complex128 array can
+    # round differently
+    mod = np.hypot(pivot.real, pivot.imag)
+    if not mod.all():
+        raise NumericError("degenerate matrix: last row is zero", chain=int(np.argmin(mod != 0.0)))
+    out = matrices * (mod / pivot)[:, None, None]
+    out[at, -1, idx] = out[at, -1, idx].real  # exact realness for deterministic equality
     return out
 
 
@@ -143,9 +151,17 @@ class Automorphism:
             raise InputError("Automorphism needs a square matrix of size >= 2")
         if mat.dtype not in (np.complex128, WIDE_COMPLEX):
             mat = mat.astype(np.complex128)
-        mat = _canonical_phase(mat)
+        mat = _canonical_phase(mat[None])[0]
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _of_canonical(cls, matrix):
+        """Wrap a matrix that _canonical_phase already normalized, as it is."""
+        g = object.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(g, "matrix", matrix)
+        return g
 
     @property
     def dim(self):
@@ -227,65 +243,109 @@ def apply_ball(g, z):
     return _mobius_apply(g.matrix, z)
 
 
-def cartan(t, dim, dtype=np.complex128):
-    """The hyperbolic one-parameter flow: cosh/sinh corner blocks.
+def cartans(t, dim, dtype=np.complex128):
+    """The hyperbolic flow a_t for each parameter of a 1-d array, as a
+    (n, dim+1, dim+1) stack of canonical matrices: cosh/sinh corner blocks.
 
     Its orbit through 0 is the radial line, ``a_t(0) = (tanh t, 0, ..., 0)``.
     Built in extended precision so cosh^2 - sinh^2 = 1 holds to ~1e-19.
     """
-    tw = WIDE_REAL(t)
-    mat = np.eye(dim + 1, dtype=WIDE_COMPLEX)
+    tw = as_wide_real(t)
+    mat = np.zeros((tw.shape[0], dim + 1, dim + 1), dtype=WIDE_COMPLEX)
+    mat[:] = np.eye(dim + 1)
     ch, sh = np.cosh(tw), np.sinh(tw)
-    mat[0, 0] = ch
-    mat[-1, -1] = ch
-    mat[0, -1] = sh
-    mat[-1, 0] = sh
-    return Automorphism(mat.astype(dtype))
+    mat[:, 0, 0] = ch
+    mat[:, -1, -1] = ch
+    mat[:, 0, -1] = sh
+    mat[:, -1, 0] = sh
+    return _canonical_phase(mat.astype(dtype))
+
+
+def cartan(t, dim, dtype=np.complex128):
+    """The flow a_t for one parameter; see cartans."""
+    return Automorphism._of_canonical(cartans([t], dim, dtype)[0])
 
 
 def _unitary_completion(columns):
-    """Complete given columns to a unitary matrix by Gram-Schmidt.
+    """Complete a (n, dim, k) stack of starting columns to unitary matrices
+    by Gram-Schmidt.
 
-    `columns` is a vector (one starting column) or a (dim, k) matrix of
-    starting columns, which are orthonormalized in order and must be
+    The k columns of each entry are orthonormalized in order and must be
     independent.  Deterministic completion rule: seed with the standard
     basis in order, skip any candidate whose orthogonalized residual has
-    norm below GRAM_SCHMIDT_SKIP.  Runs in extended precision; the caller
-    chooses the output dtype.
+    norm below GRAM_SCHMIDT_SKIP; each entry keeps its own skip pattern and
+    the arithmetic of a lone entry.  Runs in extended precision; the caller
+    chooses the output dtype.  NumericError names the first entry that
+    degenerates.
     """
     given = as_wide_complex(columns)
-    if given.ndim == 1:
-        given = given[:, None]
-    dim, count = given.shape
-    if dim == 0:
-        return np.zeros((0, 0), dtype=WIDE_COMPLEX)
-    cols = []
-    for i, r in enumerate([*given.T, *np.eye(dim, dtype=WIDE_COMPLEX)]):
-        if i >= count and len(cols) == dim:
+    n, dim, count = given.shape
+    basis = np.zeros((2, n, dim, dim), dtype=WIDE_COMPLEX)  # accepted columns and conjugates
+    slots = [(basis[0, :, s], basis[1, :, s]) for s in range(dim)]
+    held = 0  # columns held by every entry while all hold the same number
+    filled = None  # columns per entry, once the entries' skip patterns part
+    dependent = np.zeros(n, dtype=bool)
+    eye = np.eye(dim, dtype=WIDE_COMPLEX)[:, None]  # each row broadcasts over the entries
+    for i in range(count + dim):
+        if i >= count and (held == dim if filled is None else np.all(dependent | (filled == dim))):
             break
-        for u in cols:
-            r = r - (r * np.conj(u)).sum() * u
-        rn = np.sqrt(float((np.abs(r) ** 2).sum().real))
-        if rn < GRAM_SCHMIDT_SKIP:
-            if i < count:
-                raise NumericError("Gram-Schmidt completion degenerated: dependent input columns")
+        r = given[:, :, i] if i < count else eye[i - count]
+        # an entry with fewer columns projects on zero slots, which leave r as it is
+        for u, u_conj in slots[:held]:
+            r = r - (r * u_conj).sum(axis=-1)[:, None] * u
+        rn = np.sqrt((np.abs(r) ** 2).sum(axis=-1).real.astype(np.float64))
+        skip = rn < GRAM_SCHMIDT_SKIP
+        if filled is None and not skip.any():
+            u, u_conj = slots[held]
+            np.conjugate(np.divide(r, rn[:, None], out=u), out=u_conj)
+            held += 1
             continue
-        cols.append(r / rn)
-    if len(cols) != dim:
-        raise NumericError("Gram-Schmidt completion degenerated")
-    return np.stack(cols, axis=1)
+        if i < count:
+            dependent |= skip
+        if filled is None and skip.all():
+            continue
+        # the skip patterns part: each entry fills its own slots
+        if filled is None:
+            filled = np.full(n, held)
+        take = np.flatnonzero(~skip & ~dependent & (filled < dim))
+        col = r[take] / rn[take, None]
+        basis[0, take, filled[take]] = col
+        basis[1, take, filled[take]] = np.conj(col)
+        filled[take] += 1
+        held = int(filled.max())
+    failed = dependent | ((filled if filled is not None else held) != dim)
+    if failed.any():
+        j = int(np.argmax(failed))
+        raise NumericError("Gram-Schmidt completion degenerated: dependent input columns"
+                           if dependent[j] else "Gram-Schmidt completion degenerated", chain=j)
+    return basis[0].swapaxes(1, 2)
+
+
+def rotations_e1(v, dtype=np.complex128):
+    """The stabilizer-of-0 elements k with k(e1) = v for each unit vector of
+    a (n, dim) stack, as a stack of canonical matrices; InputError names the
+    first vector that is not a unit vector, unless an earlier entry fails."""
+    v = np.asarray(v)
+    n, dim = v.shape
+    vd = v.astype(np.complex128)
+    re, im = vd.real, vd.imag
+    # per row, the norm np.linalg.norm takes of one vector: two dot products
+    norms = np.sqrt((re[:, None, :] @ re[:, :, None])[:, 0, 0]
+                    + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    off = np.abs(norms - 1.0) > TOL_CLOSURE
+    rows = int(np.argmax(off)) if off.any() else n
+    u = _unitary_completion(v[:rows, :, None])
+    if rows < n:
+        raise InputError(f"rotation_mapping_e1 needs a unit vector, got |v| = {np.linalg.norm(v[rows]):.6g}")
+    mat = np.zeros((n, dim + 1, dim + 1), dtype=WIDE_COMPLEX)
+    mat[:, :dim, :dim] = u
+    mat[:, dim, dim] = 1.0
+    return _canonical_phase(mat.astype(dtype))
 
 
 def rotation_mapping_e1(v, dtype=np.complex128):
     """The stabilizer-of-0 element k with k(e1) = v, for a unit vector v."""
-    v = np.asarray(v).reshape(-1)
-    if abs(float(np.linalg.norm(v.astype(np.complex128))) - 1.0) > TOL_CLOSURE:
-        raise InputError(f"rotation_mapping_e1 needs a unit vector, got |v| = {np.linalg.norm(v):.6g}")
-    u = _unitary_completion(v)
-    dim = v.shape[0]
-    mat = np.eye(dim + 1, dtype=WIDE_COMPLEX)
-    mat[:dim, :dim] = u
-    return Automorphism(mat.astype(dtype))
+    return Automorphism._of_canonical(rotations_e1(np.asarray(v).reshape(1, -1), dtype)[0])
 
 
 def transport_to_origin(p):
@@ -302,41 +362,61 @@ def transport_to_origin(p):
     return compose(cartan(-t, dim, dtype=WIDE_COMPLEX), inverse(k), dtype=np.complex128)
 
 
-def compose(g, h, *more, dtype=None):
-    """Matrix product of automorphisms (left acts last), renormalized.
+def compose_stacks(*factors, dtype=None):
+    """Matrix products of stacks of matrices (left acts last), canonical.
 
-    Accumulates in extended precision; the result keeps the widest input
-    dtype unless `dtype` overrides it.
+    Each factor is one (d, d) matrix or a (n, d, d) stack; a single matrix
+    acts on every entry.  Accumulates in extended precision; the result
+    keeps the widest input dtype unless `dtype` overrides it, and is a
+    (n, d, d) stack (n = 1 for single matrices).
     """
+    out = as_wide_complex(factors[0])
+    for f in factors[1:]:
+        out = out @ as_wide_complex(f)
+    if dtype is None:
+        dtype = np.result_type(*(f.dtype for f in factors))
+    return _canonical_phase(out.astype(dtype).reshape((-1,) + out.shape[-2:]))
+
+
+def compose(g, h, *more, dtype=None):
+    """Matrix product of automorphisms (left acts last), renormalized; see
+    compose_stacks."""
     factors = (g, h) + more
     dims = {f.dim for f in factors}
     if len(dims) != 1:
         raise InputError("compose needs automorphisms of equal dimension")
-    out = as_wide_complex(factors[0].matrix)
-    for f in factors[1:]:
-        out = out @ as_wide_complex(f.matrix)
-    if dtype is None:
-        dtype = np.result_type(*(f.matrix.dtype for f in factors))
-    return Automorphism(out.astype(dtype))
+    return Automorphism._of_canonical(compose_stacks(*(f.matrix for f in factors), dtype=dtype)[0])
+
+
+def inverses(matrices):
+    """Group inverses of a (n, d+1, d+1) stack of matrices, canonical.
+
+    For a form-preserving matrix the inverse is J g* J, which needs no
+    arithmetic and so loses no precision even when entries are huge.  It is
+    accepted when J g* J g is the identity up to INVERSE_DEFECT_FACTOR (d+1)
+    eps max|g|^2, the roundoff of that product, or up to 1e-8 if larger; a
+    matrix that fails falls back to a numerical inverse.
+    """
+    size = matrices.shape[-1]
+    j = signature_matrix(size - 1, dtype=matrices.dtype)
+    candidate = as_wide_complex(j @ matrices.conj().swapaxes(-1, -2) @ j)
+    check = candidate @ as_wide_complex(matrices)
+    scale = np.abs(check[:, 0, 0])
+    top = np.max(np.abs(matrices), axis=(-2, -1)).astype(np.float64)
+    tol = np.maximum(1e-8, INVERSE_DEFECT_FACTOR * size * float(np.finfo(matrices.dtype).eps) * top**2)
+    member = scale > 0
+    scale = np.where(member, scale, 1.0)[:, None, None]
+    defect = np.max(np.abs(check / scale - np.eye(size)), axis=(-2, -1))
+    member &= defect < tol
+    out = (candidate / scale).astype(matrices.dtype)
+    if not member.all():
+        out[~member] = np.linalg.inv(matrices[~member].astype(np.complex128)).astype(matrices.dtype)
+    return _canonical_phase(out)
 
 
 def inverse(g):
-    """Group inverse.
-
-    For a form-preserving matrix the inverse is J g* J, which needs no
-    arithmetic and so loses no precision even when entries are huge; we fall
-    back to a numerical inverse only when the analytic candidate fails.
-    """
-    mat = g.matrix
-    j = signature_matrix(g.dim, dtype=mat.dtype)
-    candidate = j @ mat.conj().T @ j
-    check = as_wide_complex(candidate) @ as_wide_complex(mat)
-    scale = abs(check[0, 0])
-    eye = np.eye(g.dim + 1)
-    if scale > 0 and np.max(np.abs(check / scale - eye)) < 1e-8:
-        return Automorphism((as_wide_complex(candidate) / scale).astype(mat.dtype))
-    inv = np.linalg.inv(mat.astype(np.complex128))
-    return Automorphism(inv.astype(mat.dtype))
+    """Group inverse; see inverses."""
+    return Automorphism._of_canonical(inverses(g.matrix[None])[0])
 
 
 # --- the two models and the transforms between them -------------------------

@@ -317,9 +317,19 @@ def block_extend(phi, M):
 
 # --- Siegel-coordinate conjugates with exact 2-jets --------------------------
 
+def _chain_rule(sjac, jac, hess):
+    """J_s J_r and J_s H_r, the terms of the jet of s o r that need only the
+    stage's Jacobian J_s and the jet (J_r, H_r) of r; H_u adds the sandwich
+    sum_pq H_s[j,p,q] J_r[p,k] J_r[q,l]."""
+    rows, m = hess.shape[0], hess.shape[-1]
+    folded = sjac @ hess.reshape(rows, -1, m * m)
+    return sjac @ jac, folded.reshape(folded.shape[:2] + (m, m))
+
+
 class _MoebiusStage:
     """One fractional-linear factor per chain, with closed-form first and
-    second derivatives; `matrices` is a (n, d+1, d+1) stack."""
+    second derivatives; `matrices` is a (n, d+1, d+1) stack, or (1, d+1, d+1)
+    for one matrix shared by every chain, which broadcasting carries."""
 
     def __init__(self, matrices, name="moebius"):
         self.matrix = as_wide_complex(matrices)
@@ -330,7 +340,15 @@ class _MoebiusStage:
     def value(self, pts):
         return gm._mobius_apply(self.matrix, pts)
 
-    def jet(self, z):
+    def fold(self, z, jac, hess):
+        """The jet of this stage after one with value z, Jacobian jac and
+        Hessian hess.
+
+        For w = (a z + b) / (c.z + d) the Hessian is H_w[j,p,q] =
+        -(J_w[j,p] c_q + J_w[j,q] c_p) / den, so its sandwich with J needs
+        only the new Jacobian J_w J and c^T J, never H_w itself; the
+        Hessian inherits the cancellation already done in J_w.
+        """
         a = self.matrix[:, :-1, :-1]
         b = self.matrix[:, :-1, -1]
         c = self.matrix[:, -1, :-1]
@@ -344,16 +362,13 @@ class _MoebiusStage:
             raise NumericError(f"{self.name} stage undefined: denominator vanishes",
                                chain=int(np.argmax(vanishing)))
         # np.power, not **, which squares by a path that differs on signed zeros
-        den2 = np.power(den, 2)[:, None, None]
-        den3 = np.power(den, 3)[:, None, None, None]
         val = num / den[:, None]
-        jac = a / den[:, None, None] - num[:, :, None] * c[:, None, :] / den2
-        hess = (
-            -(a[:, :, :, None] * c[:, None, None, :] + a[:, :, None, :] * c[:, None, :, None])
-            / den2[..., None]
-            + 2.0 * num[:, :, None, None] * c[:, None, :, None] * c[:, None, None, :] / den3
-        )
-        return val, jac, hess
+        sjac = a / den[:, None, None] - num[:, :, None] * c[:, None, :] / np.power(den, 2)[:, None, None]
+        new_jac, folded = _chain_rule(sjac, jac, hess)
+        cj = (c[:, None, :] @ jac)[:, 0]
+        sandwich = -(new_jac[:, :, :, None] * cj[:, None, None, :]
+                     + new_jac[:, :, None, :] * cj[:, None, :, None]) / den[:, None, None, None]
+        return val, new_jac, sandwich + folded
 
 
 class _PolyStage:
@@ -431,15 +446,24 @@ class _PolyStage:
         return (flat[:, :M], flat[:, M:M + M * m].reshape(n, M, m),
                 flat[:, M + M * m:].reshape(n, M, m, m))
 
+    def fold(self, z, jac, hess):
+        """The jet of this stage after one with value z, Jacobian jac and
+        Hessian hess: the sandwich J^T H_s J of the tabulated Hessian."""
+        val, sjac, shess = self.jet(z)
+        sandwich = np.swapaxes(jac, 1, 2)[:, None] @ shess @ jac[:, None]
+        new_jac, folded = _chain_rule(sjac, jac, hess)
+        return val, new_jac, sandwich + folded
+
 
 class SiegelMap:
     """A stack of maps between Siegel domains, each a chain of explicit stages.
 
-    Every stage holds one factor per chain, so evaluation and exact 2-jets
-    fold all chains at once: for u = s o r, J_u = J_s J_r and
-    H_u = J_r^T H_s J_r + J_s H_r.  `shape` is the stack shape of every
-    output: (n,) for n chains, or () for a single map, which runs as a stack
-    of one.
+    Every stage holds one factor per chain, or one factor that all chains
+    share, so evaluation and exact 2-jets fold all chains at once: for
+    u = s o r, J_u = J_s J_r and H_u = J_r^T H_s J_r + J_s H_r.  A shared
+    stage acts once on points (or a jet) that every chain shares.  `shape`
+    is the stack shape of every output: (n,) for n chains, or () for a
+    single map, which runs as a stack of one.
     """
 
     def __init__(self, stages, m, M, shape=()):
@@ -457,8 +481,7 @@ class SiegelMap:
         """Values at one point (m,) or a batch (p, m) shared by every chain."""
         pts = np.asarray(w)
         single = pts.ndim == 1
-        pts = np.atleast_2d(pts).astype(WIDE_COMPLEX)
-        pts = np.broadcast_to(pts, (self.size,) + pts.shape)
+        pts = np.atleast_2d(pts).astype(WIDE_COMPLEX)[None]
         for stage in self.stages:
             pts = stage.value(pts)
         out = pts.astype(np.complex128)
@@ -470,16 +493,13 @@ class SiegelMap:
         z = as_wide_complex(np.asarray(w0)).reshape(-1)
         if z.shape[0] != self.m:
             raise InputError(f"jet point has dimension {z.shape[0]}, expected {self.m}")
-        n, m = self.size, self.m
-        val = np.broadcast_to(z, (n, m))
-        jac = np.broadcast_to(np.eye(m, dtype=WIDE_COMPLEX), (n, m, m))
-        hess = np.zeros((n, m, m, m), dtype=WIDE_COMPLEX)
+        m = self.m
+        # one jet at w0, shared by every chain until a stage of its own
+        val = z[None]
+        jac = np.eye(m, dtype=WIDE_COMPLEX)[None]
+        hess = np.zeros((1, m, m, m), dtype=WIDE_COMPLEX)
         for stage in self.stages:
-            sval, sjac, shess = stage.jet(val)
-            sandwich = np.swapaxes(jac, 1, 2)[:, None] @ shess @ jac[:, None]
-            hess = sandwich + (sjac @ hess.reshape(n, -1, m * m)).reshape(sandwich.shape)
-            jac = sjac @ jac
-            val = sval
+            val, jac, hess = stage.fold(val, jac, hess)
         return val, jac, hess
 
     def jet_at(self, w0):
@@ -487,28 +507,38 @@ class SiegelMap:
                      for arr in self._jet_wide(w0))
 
 
+def siegel_chains(core, pres, posts, shape=None):
+    """The stack of Siegel-coordinate conjugates of post[i] o core o pre[i].
+
+    Chain: inverse Cayley (domain), pre automorphism, polynomial core, post
+    automorphism, Cayley (target); `pres` and `posts` are (n, d+1, d+1)
+    stacks, the Cayley stages one matrix for every chain.  `shape` defaults
+    to (n,).
+    """
+    m, M = core.m, core.M
+    stages = [
+        _MoebiusStage(gm.cayley_inverse_matrix(m)[None], name="cayley"),
+        _MoebiusStage(pres, name="pre"),
+        _PolyStage(core),
+        _MoebiusStage(posts, name="post"),
+        _MoebiusStage(gm.cayley_matrix(M)[None], name="cayley"),
+    ]
+    return SiegelMap(stages, m, M, (len(pres),) if shape is None else shape)
+
+
 def siegel_conjugate(f):
     """The map in Siegel coordinates on both sides, with exact jets.
 
-    Chain: inverse Cayley (domain), pre automorphism, polynomial core,
-    post automorphism, Cayley (target).  A list of maps sharing one core
-    gives a stack with one chain per map.
+    A list of maps sharing one core gives a stack with one chain per map;
+    see siegel_chains.
     """
     stacked = isinstance(f, (list, tuple))
     maps = [as_transformed(g) for g in f] if stacked else [as_transformed(f)]
     core = maps[0].core
     if any(g.core != core for g in maps[1:]):
         raise InputError("a stack of maps must share one polynomial core")
-    n, m, M = len(maps), core.m, core.M
-    stages = [
-        _MoebiusStage(np.broadcast_to(gm.cayley_inverse_matrix(m), (n, m + 1, m + 1)),
-                      name="cayley"),
-        _MoebiusStage(np.stack([g.pre.matrix for g in maps]), name="pre"),
-        _PolyStage(core),
-        _MoebiusStage(np.stack([g.post.matrix for g in maps]), name="post"),
-        _MoebiusStage(np.broadcast_to(gm.cayley_matrix(M), (n, M + 1, M + 1)), name="cayley"),
-    ]
-    return SiegelMap(stages, m, M, (n,) if stacked else ())
+    return siegel_chains(core, np.stack([g.pre.matrix for g in maps]),
+                         np.stack([g.post.matrix for g in maps]), None if stacked else ())
 
 
 @dataclass(frozen=True)

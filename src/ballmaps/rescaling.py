@@ -24,7 +24,7 @@ would inject noise of order e^{2 t_n} * 1e-16 into every jet.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -194,8 +194,9 @@ def _orbit_pass(phi_seq, psi_seq, f):
     m, M = (f.m, f.M) if f is not None else (phi_seq[0].dim, psi_seq and psi_seq[0].dim)
     if any(phi.dim != m for phi in phi_seq) or any(psi.dim != M for psi in psi_seq or ()):
         raise InputError("symmetry pair dimensions must match the map")
-    phis = [gm.Automorphism(as_wide_complex(phi.matrix)) for phi in phi_seq]
-    phi0 = gm._mobius_apply(np.stack([phi.matrix for phi in phis]), np.zeros(m, dtype=WIDE_COMPLEX))
+    wide = gm._canonical_phase(np.stack([as_wide_complex(phi.matrix) for phi in phi_seq]))
+    phis = [gm.Automorphism._of_canonical(mat) for mat in wide]
+    phi0 = gm._mobius_apply(wide, np.zeros(m, dtype=WIDE_COMPLEX))
     if psi_seq is not None:
         psi0 = gm._mobius_apply(np.stack([as_wide_complex(psi.matrix) for psi in psi_seq]),
                                 np.zeros(M, dtype=WIDE_COMPLEX))
@@ -293,25 +294,25 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
         residuals = _pair_residuals(f, phi_seq, psi_seq, seed)
 
     conj_pts = siegel_interior_points(rng_from_seed(seed), 20, m, scale=0.25)
-    frames = []
-    try:
-        for i, phi in enumerate(phis):
-            frames.append(_frame(f, phi, phi0[i], psi0[i], None if conjugate else psi_seq[i]))
-    except (InputError, NumericError):
+    frames, failure = _frames(f, phis, phi0, psi0, None if conjugate else psi_seq)
+    if failure is not None:
         # the indices before the failing frame come first in index order
-        if frames:
+        if len(frames):
             _frame_jets_in_order(f, frames, conj_pts, conjugate)
-        raise
+        raise failure
     columns = _frame_jets_in_order(f, frames, conj_pts, conjugate)
+    alphas = gm.inverses(frames.pre_g)
+    wrap = gm.Automorphism._of_canonical
     indices = []
-    for i, (frame, h_jet, g_jet, conj_residual, compactness) in enumerate(zip(frames, *columns)):
+    for i, (t_n, h_jet, g_jet, conj_residual, compactness) in enumerate(
+            zip(frames.t.astype(np.float64).tolist(), *columns)):
         indices.append(TraceIndex(
             order=i,
-            t_n=float(frame.t),
-            k_n=frame.k_n,
-            l_n=frame.l_n,
-            alpha_n=gm.inverse(frame.pre_g),
-            beta_n=frame.post_g,
+            t_n=t_n,
+            k_n=wrap(frames.k_n[i]),
+            l_n=wrap(frames.l_n[i]),
+            alpha_n=wrap(alphas[i]),
+            beta_n=wrap(frames.post_g[i]),
             h_jet=h_jet,
             g_jet=g_jet,
             phi_gap=report.phi_gaps[i],
@@ -326,53 +327,89 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
 
 
 @dataclass(frozen=True)
-class _Frame:
-    """The recentring of one sequence index: t_n, the rotations, and the
-    automorphisms that dress f into h_n, g_n and the flow conjugate of h_n."""
+class _Frames:
+    """The recentring of a stack of sequence indices: t_n, the rotations, and
+    the automorphisms that dress f into h_n, g_n and the flow conjugate of
+    h_n, each a stack of canonical extended-precision matrices with one row
+    per index.  Slicing slices every field."""
 
-    t: np.longdouble
-    k_n: gm.Automorphism
-    l_n: gm.Automorphism
-    l_inv: gm.Automorphism
-    pre_g: gm.Automorphism
-    post_g: gm.Automorphism
-    pre_conj: gm.Automorphism
-    post_conj: gm.Automorphism
+    t: np.ndarray
+    k_n: np.ndarray
+    l_n: np.ndarray
+    l_inv: np.ndarray
+    pre_g: np.ndarray
+    post_g: np.ndarray
+    pre_conj: np.ndarray
+    post_conj: np.ndarray
     psi0: np.ndarray
 
+    def __len__(self):
+        return self.t.shape[0]
 
-def _frame(f, phi, p, psi0, psi):
-    """One index's frame from its orbit-pass row: wide canonical phi_n, p = phi_n(0)
-    and psi0 = psi_n(0); g_n comes from the pair, by flow conjugation if psi is None."""
+    def __getitem__(self, rows):
+        return _Frames(*(getattr(self, fl.name)[rows] for fl in fields(self)))
+
+
+def _frames(f, phis, p, psi0, psi_seq):
+    """The frames of every index from the orbit pass: wide canonical phi_n,
+    rows p = phi_n(0) and psi0 = psi_n(0); g_n comes from the pairs, by flow
+    conjugation if psi_seq is None.
+
+    Returns (frames, failure).  `frames` holds the indices before the first
+    one whose frame fails and `failure` that index's error, None if every
+    index passes; within an index the checks run in the order of a build of
+    one index at a time.  Rows past a failure are cut from every later
+    check, and floating-point warnings are off while the checks run, so a
+    row that a build of one index at a time never reaches (say arctanh(1)
+    at |phi_n(0)| = 1) prints nothing.
+    """
     m, M = f.m, f.M
-    r = np.sqrt((np.abs(p) ** 2).sum().real)
-    if float(r) <= 0:
-        raise InputError("sequence element fixes 0; no flow parameter exists")
-    t = np.arctanh(WIDE_REAL(r))
-    if float(t) > FLOW_PARAMETER_CAP:
-        raise InputError(
-            f"flow parameter {float(t):.3g} exceeds the cap {FLOW_PARAMETER_CAP}; "
-            "the boundary gap underflows beyond it")
-    v = p / r
-    k_n = gm.rotation_mapping_e1(v, dtype=WIDE_COMPLEX)
-    fv = f.eval(v)
-    fv_gap = abs(float(one_minus_norm(fv)))
-    if fv_gap > 1e-9:
-        raise InputError(
-            f"map is not proper enough at the sequence direction: | |f(v)|-1 | = {fv_gap:.3g}")
-    l_n = gm.rotation_mapping_e1(fv / np.sqrt((np.abs(fv) ** 2).sum().real),
-                                 dtype=WIDE_COMPLEX)
-    a_t_m = gm.cartan(t, m, dtype=WIDE_COMPLEX)
-    a_mt_M = gm.cartan(-t, M, dtype=WIDE_COMPLEX)
-    l_inv = gm.inverse(l_n)
-    pre_conj = gm.compose(k_n, a_t_m)
-    post_conj = gm.compose(a_mt_M, l_inv)
-    if psi is None:
+    passed, failure = len(p), None  # rows that passed every check so far, the first failure
+
+    def check(bad, error):
+        nonlocal passed, failure
+        hits = np.flatnonzero(bad[:passed])
+        if hits.size:
+            passed, failure = int(hits[0]), error(int(hits[0]))
+
+    with np.errstate(all="ignore"):
+        r = np.sqrt((np.abs(p) ** 2).sum(axis=-1).real)
+        check(r <= 0, lambda j: InputError("sequence element fixes 0; no flow parameter exists"))
+        t = np.arctanh(r)
+        check(t.astype(np.float64) > FLOW_PARAMETER_CAP, lambda j: InputError(
+            f"flow parameter {float(t[j]):.3g} exceeds the cap {FLOW_PARAMETER_CAP}; "
+            "the boundary gap underflows beyond it"))
+        v = p[:passed] / r[:passed, None]
+        fv = f.eval(v)
+        fv_gap = np.abs(one_minus_norm(fv).astype(np.float64))
+        check(fv_gap > 1e-9, lambda j: InputError(
+            "map is not proper enough at the sequence direction: "
+            f"| |f(v)|-1 | = {fv_gap[j]:.3g}"))
+    # the unit vectors v and f(v) / |f(v)| complete to rotations without fail
+    t, v, fv = t[:passed], v[:passed], fv[:passed]
+    k_n = gm.rotations_e1(v, dtype=WIDE_COMPLEX)
+    l_n = gm.rotations_e1(fv / np.sqrt((np.abs(fv) ** 2).sum(axis=-1).real)[:, None],
+                          dtype=WIDE_COMPLEX)
+    l_inv = gm.inverses(l_n)
+    pre_conj = gm.compose_stacks(k_n, gm.cartans(t, m, dtype=WIDE_COMPLEX))
+    post_conj = gm.compose_stacks(gm.cartans(-t, M, dtype=WIDE_COMPLEX), l_inv)
+    if psi_seq is None:
         pre_g, post_g = pre_conj, post_conj
     else:
-        pre_g = gm.compose(gm.inverse(phi), pre_conj)
-        post_g = gm.compose(post_conj, gm.Automorphism(as_wide_complex(psi.matrix)))
-    return _Frame(t, k_n, l_n, l_inv, pre_g, post_g, pre_conj, post_conj, psi0)
+        phi_stack = np.stack([phi.matrix for phi in phis])[:passed]
+        psi_stack = np.stack([as_wide_complex(psi.matrix) for psi in psi_seq])[:passed]
+        pre_g = gm.compose_stacks(gm.inverses(phi_stack), pre_conj)
+        post_g = gm.compose_stacks(post_conj, gm._canonical_phase(psi_stack))
+    return _Frames(t, k_n, l_n, l_inv, pre_g, post_g, pre_conj, post_conj, psi0[:passed]), failure
+
+
+def _chain_ends(f, frames):
+    """The (pre, post) matrix stacks of the h_n, g_n and flow-conjugate
+    chains: f's own pre and post composed with each index's frame."""
+    pre, post = f.pre.matrix, f.post.matrix
+    return ((gm.compose_stacks(pre, frames.k_n), gm.compose_stacks(frames.l_inv, post)),
+            (gm.compose_stacks(pre, frames.pre_g), gm.compose_stacks(frames.post_g, post)),
+            (gm.compose_stacks(pre, frames.pre_conj), gm.compose_stacks(frames.post_conj, post)))
 
 
 def _frame_jets_in_order(f, frames, conj_pts, conjugate):
@@ -396,35 +433,32 @@ def _frame_jets(f, frames, conj_pts, conjugate):
     """Per-index columns (h jets, g jets, conjugation residuals, compactness
     distances): one stacked jet pass for all h_n and one for all g_n."""
     n = len(frames)
-    h_maps = [f.with_precomposition(fr.k_n).with_postcomposition(fr.l_inv)
-              for fr in frames]
-    g_maps = [f.with_precomposition(fr.pre_g).with_postcomposition(fr.post_g) for fr in frames]
-    h_jets = pm.jet_at_zero(pm.siegel_conjugate(h_maps))
+    h_ends, g_ends, conj_ends = _chain_ends(f, frames)
+    h_jets = pm.jet_at_zero(pm.siegel_chains(f.core, *h_ends))
     # the finite-difference oracle degrades with the chain conditioning
     # (intermediate roundoff times e^{2t} divided by step^2); the scaling
     # law against the strictly-checked h jets is the oracle at large t
     eps_wide = float(np.finfo(WIDE_REAL).eps)
-    g_tols = [max(1e-4, 1e5 * eps_wide * _conditioning(fr) / pm.FD_STEP**2) for fr in frames]
-    g_jets = pm.jet_at_zero(pm.siegel_conjugate(g_maps), fd_tol=np.array(g_tols))
+    g_tols = np.maximum(1e-4, 1e5 * eps_wide * _conditioning(frames) / pm.FD_STEP**2)
+    g_jets = pm.jet_at_zero(pm.siegel_chains(f.core, *g_ends), fd_tol=g_tols)
 
     conj_residuals = [None] * n
     if not conjugate:
-        others = [f.with_precomposition(fr.pre_conj).with_postcomposition(fr.post_conj)
-                  for fr in frames]
-        values = pm.siegel_conjugate(g_maps + others).eval(conj_pts)
+        chains = pm.siegel_chains(f.core, *(np.concatenate(pair) for pair in zip(g_ends, conj_ends)))
+        values = chains.eval(conj_pts)
         diff = values[:n] - values[n:]
         conj_residuals = np.max(np.linalg.norm(diff, axis=-1), axis=-1).tolist()
 
-    compact_pts = gm._mobius_apply(np.stack([fr.post_conj.matrix for fr in frames]),
-                                   np.stack([fr.psi0 for fr in frames])[:, None, :])
+    compact_pts = gm._mobius_apply(frames.post_conj, frames.psi0[:, None, :])
     compactness = kb.dist_rows(np.zeros((n, f.M)), compact_pts[:, 0].astype(np.complex128))
     return h_jets, g_jets, conj_residuals, compactness.tolist()
 
 
-def _conditioning(frame):
-    """Product of the largest entries (at least 1) of the g chain's two factors."""
-    return (max(1.0, float(np.max(np.abs(frame.pre_g.matrix.astype(np.complex128)))))
-            * max(1.0, float(np.max(np.abs(frame.post_g.matrix.astype(np.complex128))))))
+def _conditioning(frames):
+    """Per index, the product of the largest entries (at least 1) of the g
+    chain's two factors."""
+    return (np.maximum(1.0, np.max(np.abs(frames.pre_g.astype(np.complex128)), axis=(1, 2)))
+            * np.maximum(1.0, np.max(np.abs(frames.post_g.astype(np.complex128)), axis=(1, 2))))
 
 
 # --- verification against the scaling tables ------------------------------------
@@ -633,7 +667,7 @@ def final_normalization(nf, limit):
 
     M_minus_1 = nf.U.shape[0]
     scaled = nf.U / math.sqrt(nf.lam)
-    u_prime = gm._unitary_completion(scaled).astype(np.complex128)
+    u_prime = gm._unitary_completion(scaled[None])[0].astype(np.complex128)
     eye = np.eye(M_minus_1)
     unitarity_defect = float(np.max(np.abs(u_prime.conj().T @ u_prime - eye))) if M_minus_1 else 0.0
 
@@ -732,13 +766,22 @@ def _complex_to_json(arr):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _jet_to_json(jet):
-    return {
-        "value": _complex_to_json(jet.value),
-        "first": _complex_to_json(jet.first),
-        "second": _complex_to_json(jet.second),
-        "error_norm": jet.error_norm,
-    }
+def _automorphisms_to_json(automorphisms):
+    """Each automorphism's as_double() matrix, converted in one pass: the
+    wide ones are rounded and put in canonical phase as one stack."""
+    mats = np.stack([g.matrix for g in automorphisms]).astype(np.complex128)
+    wide = np.array([g.matrix.dtype != np.complex128 for g in automorphisms])
+    if wide.any():
+        mats[wide] = gm._canonical_phase(mats[wide])
+    return _complex_to_json(mats)
+
+
+def _jets_to_json(jets):
+    """Each jet's document, its arrays converted in one pass per field."""
+    columns = [_complex_to_json(np.stack([getattr(jet, name) for jet in jets]))
+               for name in ("value", "first", "second")]
+    return [{"value": value, "first": first, "second": second, "error_norm": jet.error_norm}
+            for jet, value, first, second in zip(jets, *columns)]
 
 
 def trace_document(result):
@@ -775,7 +818,11 @@ def trace_document(result):
             "unitarity_defect": result.final.unitarity_defect,
         },
     }
-    for idx in trace.indices:
+    indices = trace.indices
+    columns = [_automorphisms_to_json([getattr(idx, name) for idx in indices])
+               for name in ("k_n", "l_n", "alpha_n", "beta_n")]
+    columns += [_jets_to_json([getattr(idx, name) for idx in indices]) for name in ("h_jet", "g_jet")]
+    for idx, k_n, l_n, alpha_n, beta_n, h_jet, g_jet in zip(indices, *columns):
         doc["indices"].append({
             "order": idx.order,
             "t_n": idx.t_n,
@@ -785,12 +832,12 @@ def trace_document(result):
             "g_value_norm": idx.g_value_norm,
             "symmetry_residual": idx.symmetry_residual,
             "conjugation_residual": idx.conjugation_residual,
-            "k_n": _complex_to_json(idx.k_n.as_double().matrix),
-            "l_n": _complex_to_json(idx.l_n.as_double().matrix),
-            "alpha_n": _complex_to_json(idx.alpha_n.as_double().matrix),
-            "beta_n": _complex_to_json(idx.beta_n.as_double().matrix),
-            "h_jet": _jet_to_json(idx.h_jet),
-            "g_jet": _jet_to_json(idx.g_jet),
+            "k_n": k_n,
+            "l_n": l_n,
+            "alpha_n": alpha_n,
+            "beta_n": beta_n,
+            "h_jet": h_jet,
+            "g_jet": g_jet,
         })
     if result.constants is not None:
         doc["constants"] = {

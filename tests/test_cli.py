@@ -166,6 +166,15 @@ class TestRescale:
         assert doc["normal_form"]["flatten_residual"] <= 1e-8
         assert doc["mode"] == "sequence"
 
+    def test_precision_horizon_n_end_15_is_an_input_failure(self, capsys):
+        # the inverse of a_15 is exact J a* J, not a double np.linalg.inv; the
+        # run then fails where n_end 14 does, at the unitarity of U
+        code, out, err = run(capsys, [
+            "rescale", "--map", "linear", "--m", "3", "--M", "5", "--n-end", "15"])
+        assert code == 2
+        assert "[final_normalization]" in err and "unitarity=" in err
+        assert out == ""
+
     def test_identity_map_m1(self, capsys):
         code, out, _ = run(capsys, [
             "rescale", "--map", "linear", "--m", "1", "--M", "1",

@@ -6,10 +6,12 @@ g_n chains in a second one.  Each chain of a stack keeps the arithmetic of a
 lone chain, so stacked jets, evaluations and pair residuals must equal a
 loop of one-chain calls bit for bit.  The polynomial stage is compiled into
 tables and must equal the per-monomial loop it replaced (kept here) bit for
-bit.  The Hessian fold J_r^T H_s J_r sums in another order than the einsum
-it replaced (kept here); the two must agree within a budget fixed from the
+bit.  The Hessian fold (the sandwich J_r^T H_s J_r of a polynomial stage,
+the closed form through the new Jacobian of a fractional-linear one) sums
+in another order than the einsum over materialized stage Hessians it
+replaced (kept here); the two must agree within a budget fixed from the
 extended-precision eps and the chain's conditioning, and the fold must stay
-within that budget of a 50-digit mpmath evaluation of the chain.
+within that budget of a 50-digit mpmath evaluation of the h and g chains.
 """
 
 import mpmath
@@ -75,11 +77,12 @@ def chains(name, kind):
     conjugate = not name.startswith("linear")
     phis, psis = sequence(f.m, f.M, kind)
     phis, phi0, psi0, _ = rs._orbit_pass(phis, None if conjugate else psis, f)
-    frames = [rs._frame(f, phi, p, q, None if conjugate else psi)
-              for phi, p, q, psi in zip(phis, phi0, psi0, psis)]
-    h = [f.with_precomposition(fr.k_n).with_postcomposition(fr.l_inv) for fr in frames]
-    g = [f.with_precomposition(fr.pre_g).with_postcomposition(fr.post_g) for fr in frames]
-    return h, g
+    frames, failure = rs._frames(f, phis, phi0, psi0, None if conjugate else psis)
+    assert failure is None
+    h_ends, g_ends, _ = rs._chain_ends(f, frames)
+    wrap = gm.Automorphism._of_canonical
+    return ([pm.TransformedMap(wrap(pre), f.core, wrap(post)) for pre, post in zip(*ends)]
+            for ends in (h_ends, g_ends))
 
 
 def origin_image(matrix):
@@ -315,14 +318,33 @@ def test_compiled_poly_jet_equals_monomial_loop(name):
 
 # --- the Hessian fold: contraction order and an mpmath oracle ---------------------
 
+def _moebius_jet(matrix, z):
+    """Value, Jacobian and materialized Hessian of one fractional-linear
+    stage at one point, as the stage computed them before its closed-form
+    fold."""
+    a, b, c, d = matrix[:-1, :-1], matrix[:-1, -1], matrix[-1, :-1], matrix[-1, -1]
+    num = a @ z + b
+    den = (c * z).sum() + d
+    den2, den3 = np.power(den, 2), np.power(den, 3)
+    val = num / den
+    jac = a / den - num[:, None] * c[None, :] / den2
+    hess = (-(a[:, :, None] * c[None, None, :] + a[:, None, :] * c[None, :, None]) / den2
+            + 2.0 * num[:, None, None] * c[None, :, None] * c[None, None, :] / den3)
+    return val, jac, hess
+
+
 def _einsum_fold(g, w0):
-    """The fold before stacking: einsum over one chain."""
+    """The fold before stacking: einsum over one chain, with every stage's
+    Hessian materialized."""
     z = as_wide_complex(w0)
     jac = np.eye(g.m, dtype=WIDE_COMPLEX)
     hess = np.zeros((g.m,) * 3, dtype=WIDE_COMPLEX)
     val = z
     for stage in g.stages:
-        sval, sjac, shess = (arr[0] for arr in stage.jet(val[None]))
+        if isinstance(stage, pm._PolyStage):
+            sval, sjac, shess = (arr[0] for arr in stage.jet(val[None]))
+        else:
+            sval, sjac, shess = _moebius_jet(stage.matrix[0], val)
         hess = (np.einsum("jpq,pk,ql->jkl", shess, jac, jac)
                 + np.einsum("jp,pkl->jkl", sjac, hess))
         jac = sjac @ jac
@@ -422,21 +444,34 @@ def _mp_jet(g, step=mpmath.mpf("1e-12")):
     return np.array(f0, dtype=object), first, second
 
 
+def _assert_fold_against_mpmath(tmap):
+    g = pm.siegel_conjugate(tmap)
+    wide = [arr[0] for arr in g._jet_wide(np.zeros(g.m))]
+    doubles = g.jet_at(np.zeros(g.m))
+    budget = _fold_budget(g, _conditioning(tmap), wide[2])
+    for got_wide, got, ref in zip(wide, doubles, _mp_jet(g)):
+        for x_wide, x, r in zip(got_wide.ravel(), got.ravel(), ref.ravel()):
+            # the extended-precision fold, then its rounding to double
+            assert float(abs(_mp(x_wide) - r)) <= budget
+            assert float(abs(_mp(x) - r)) <= EPS * float(abs(r)) + budget
+
+
 @pytest.mark.parametrize("name", ("linear(3,5)", "whitney", "power(2,2)"))
 def test_h_chain_jet_against_mpmath(name):
     h_maps, _ = chains(name, "rotated")
     with mpmath.workdps(50):
         for n in (2, 6, 10):
-            tmap = h_maps[n - 1]
-            g = pm.siegel_conjugate(tmap)
-            wide = [arr[0] for arr in g._jet_wide(np.zeros(g.m))]
-            doubles = g.jet_at(np.zeros(g.m))
-            budget = _fold_budget(g, _conditioning(tmap), wide[2])
-            for got_wide, got, ref in zip(wide, doubles, _mp_jet(g)):
-                for x_wide, x, r in zip(got_wide.ravel(), got.ravel(), ref.ravel()):
-                    # the extended-precision fold, then its rounding to double
-                    assert float(abs(_mp(x_wide) - r)) <= budget
-                    assert float(abs(_mp(x) - r)) <= EPS * float(abs(r)) + budget
+            _assert_fold_against_mpmath(h_maps[n - 1])
+
+
+@pytest.mark.parametrize("kind", SEQUENCES)
+def test_g_chain_jet_against_mpmath(kind):
+    # the g chains carry factors with entries of size e^{t_n}; the closed-form
+    # Moebius fold stays within the same budget of the 50-digit chain
+    _, g_maps = chains("linear(3,5)", kind)
+    with mpmath.workdps(50):
+        for n in (2, 6):
+            _assert_fold_against_mpmath(g_maps[n - 1])
 
 
 # --- failures stay per chain ------------------------------------------------------
