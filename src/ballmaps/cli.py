@@ -45,7 +45,10 @@ def _load_matrix(path):
     if isinstance(doc, dict):
         doc = doc.get("matrix")
     try:
-        return _json_to_complex(doc)
+        parts = np.asarray(doc, dtype=float)
+        if not np.isfinite(parts).all():
+            raise ValueError("a non-finite entry")
+        return _json_to_complex(parts)
     except (TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed matrix file {path}: {exc}") from exc
 
@@ -161,31 +164,43 @@ def cmd_radial_sweep(args):
     return EXIT_OK
 
 
-def _build_sequence_args(args, f):
-    n_values = range(args.n_start, args.n_end + 1)
-    if args.seq == "cartan":
-        pairs = rs.cartan_sequence(f.m, f.M, n_values)
-        return [p for p, _ in pairs], [q for _, q in pairs]
-    if args.seq == "custom-file":
-        if not args.seq_file:
-            raise InputError("--seq custom-file needs --seq-file")
-        with open(args.seq_file) as fh:
-            doc = json.load(fh)
+def _load_sequence(path, m, M):
+    """The (phis, psis) stacks of a sequence file for a map B^m -> B^M, each side
+    parsed and put in canonical phase at once; InputError names a bad pair."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        if not doc["pairs"]:
+            raise ValueError("no pairs")
+        sides = [np.array([pair[side] for pair in doc["pairs"]], dtype=object)
+                 for side in ("phi", "psi")]
+        # pairs of mixed sizes parse to fewer axes
+        if any(raw.shape[1:] != (dim + 1, dim + 1, 2) for raw, dim in zip(sides, (m, M))):
+            raise ValueError(f"symmetry pair dimensions must match the map B^{m} -> B^{M}")
+        parts = [np.asarray(raw, dtype=float) for raw in sides]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed sequence file {path}: {exc}") from exc
+    bad = np.flatnonzero(~np.logical_and(*(np.isfinite(raw).all(axis=(1, 2, 3)) for raw in parts)))
+    if bad.size:
+        raise InputError(f"malformed sequence file {path}: pairs[{bad[0]}] has a non-finite entry")
+    for i, side in enumerate(("phi", "psi")):
         try:
-            phis = [gm.Automorphism(_json_to_complex(pair["phi"])) for pair in doc["pairs"]]
-            psis = [gm.Automorphism(_json_to_complex(pair["psi"])) for pair in doc["pairs"]]
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"malformed sequence file {args.seq_file}: {exc}") from exc
-        return phis, psis
-    raise InputError(f"unknown sequence kind {args.seq!r}")
+            parts[i] = gm._canonical_phase(_json_to_complex(parts[i]))
+        except NumericError as exc:
+            raise InputError(
+                f"malformed sequence file {path}: pairs[{exc.chain}].{side}: {exc}") from exc
+    return tuple(parts)
 
 
 def cmd_rescale(args):
     spec = _resolve_map(args)
     f = pm.as_transformed(spec)
-    phis, psis = _build_sequence_args(args, f)
+    if args.seq == "cartan":
+        phis, psis = rs.cartan_sequence(f.m, f.M, range(args.n_start, args.n_end + 1))
+    elif not args.seq_file:
+        raise InputError("--seq custom-file needs --seq-file")
+    else:
+        phis, psis = _load_sequence(args.seq_file, f.m, f.M)
     result = rs.run_pipeline(
         f, phis, psis, conjugate=args.allow_non_member,
         tail=args.tail, membership_tol=args.tol,
@@ -269,7 +284,7 @@ def cmd_verify_group(args):
     g = gm.Automorphism(mat)
     res = gm.verify_membership(g)
     print(f"{res:.15g}")
-    if res > args.tol:
+    if not res <= args.tol:
         raise NumericError(f"matrix fails the membership check: residual {res:.3g}")
     return EXIT_OK
 

@@ -172,9 +172,15 @@ class Automorphism:
         return cls(np.eye(dim + 1, dtype=np.complex128))
 
     def as_double(self):
-        if self.matrix.dtype == np.complex128:
-            return self
-        return Automorphism(self.matrix.astype(np.complex128))
+        return Automorphism._of_canonical(as_double_stack(self.matrix[None])[0])
+
+
+def as_double_stack(matrices):
+    """A canonical (n, d, d) stack in double precision: a wide one rounded
+    and put in canonical phase again, a double one as it is."""
+    if matrices.dtype == np.complex128:
+        return matrices
+    return _canonical_phase(matrices.astype(np.complex128))
 
 
 def verify_membership(g):

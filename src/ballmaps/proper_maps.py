@@ -275,44 +275,42 @@ class SymmetryPair:
 
 
 def symmetry_residuals(f, phis, psis, sample_count=128, seed=3):
-    """Residuals of psi(f(z)) - f(phi(z)) for a stack of pairs on shared
-    deterministic interior samples.
+    """Residuals of psi(f(z)) - f(phi(z)) for the (n, d+1, d+1) stacks phis
+    and psis on shared deterministic interior samples.
 
     f is evaluated on the samples once and on the images of every phi in one
-    more call; all phi and all psi act through one stacked _mobius_apply each.
+    more call; each stack acts through one stacked _mobius_apply.
     """
     f = as_transformed(f)
-    if any(phi.dim != f.m for phi in phis) or any(psi.dim != f.M for psi in psis):
+    if phis.shape[1:] != (f.m + 1,) * 2 or psis.shape[1:] != (f.M + 1,) * 2:
         raise InputError("symmetry pair dimensions must match the map")
     pts = interior_points(rng_from_seed(seed), sample_count, f.m, max_norm=0.95)
-    lhs = gm._mobius_apply(np.stack([psi.matrix for psi in psis]), f.eval(pts))
-    moved = gm._mobius_apply(np.stack([phi.matrix for phi in phis]), pts)
+    lhs = gm._mobius_apply(psis, f.eval(pts))
+    moved = gm._mobius_apply(phis, pts)
     rhs = f.eval(moved.reshape(-1, f.m)).reshape(lhs.shape)
     return np.max(np.linalg.norm((lhs - rhs).astype(np.complex128), axis=-1), axis=-1)
 
 
 def verify_symmetry_pair(f, phi, psi, sample_count=128, seed=3):
     """Residual of psi(f(z)) - f(phi(z)) over deterministic interior samples."""
-    residual = symmetry_residuals(f, [phi], [psi], sample_count, seed)
+    residual = symmetry_residuals(f, phi.matrix[None], psi.matrix[None], sample_count, seed)
     return SymmetryPair(phi, psi, float(residual[0]))
 
 
-def block_extend(phi, M):
-    """Extend a dim-m automorphism to dim M, acting trivially on new coordinates.
+def block_extend(phis, M):
+    """Extend a (n, m+1, m+1) stack of dim-m automorphisms to dim M, acting
+    trivially on the new coordinates; a canonical (n, M+1, M+1) stack.
 
     Together with the linear embedding f(z) = (z, 0) this satisfies
     psi o f = f o phi exactly.
     """
-    m = phi.dim
+    m = phis.shape[-1] - 1
     if M < m:
         raise InputError("block_extend needs M >= m")
-    src = phi.matrix
-    out = np.eye(M + 1, dtype=src.dtype)
-    out[:m, :m] = src[:m, :m]
-    out[:m, -1] = src[:m, -1]
-    out[-1, :m] = src[-1, :m]
-    out[-1, -1] = src[-1, -1]
-    return gm.Automorphism(out)
+    out = np.broadcast_to(np.eye(M + 1, dtype=phis.dtype), phis.shape[:-2] + (M + 1, M + 1)).copy()
+    keep = np.r_[:m, M]  # the rows and columns of phi in the extension
+    out[..., keep[:, None], keep] = phis
+    return gm._canonical_phase(out)
 
 
 # --- Siegel-coordinate conjugates with exact 2-jets --------------------------
@@ -634,8 +632,9 @@ def jet_at_zero(g, *, fd_tol=1e-4):
     for exact, fd in ((first, fd_first), (second, fd_second)):
         denom = np.maximum(1.0, np.abs(exact))
         worst = np.max((np.abs(fd - exact) / denom).reshape(lead + (-1,)), axis=-1)
-        err = np.fmax(err, worst)
-    over = np.flatnonzero(err > fd_tol)
+        err = np.maximum(err, worst)
+    # a NaN disagreement fails too
+    over = np.flatnonzero(~(err <= fd_tol))
     if over.size:
         raise NumericError(
             f"chain-rule jet disagrees with finite differences: {err.flat[over[0]]:.3g}",

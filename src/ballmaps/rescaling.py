@@ -109,67 +109,61 @@ def scaling_factors(query, t, m, M):
 # --- sequence preparation -----------------------------------------------------
 
 def cartan_sequence(m, M, n_values):
-    """The built-in diverging sequence: (a_n, block-extended a_n)."""
-    pairs = []
-    for n in n_values:
-        phi = gm.cartan(float(n), m, dtype=WIDE_COMPLEX)
-        pairs.append((phi, pm.block_extend(phi, M)))
-    return pairs
+    """The built-in diverging sequence: the stacks (a_n, block-extended a_n)."""
+    phis = gm.cartans(np.asarray(n_values, dtype=float), m, dtype=WIDE_COMPLEX)
+    return phis, pm.block_extend(phis, M)
 
 
-def _pair_residuals(f, phi_seq, psi_seq, seed):
-    return pm.symmetry_residuals(f, [phi.as_double() for phi in phi_seq],
-                                 [psi.as_double() for psi in psi_seq],
-                                 sample_count=64, seed=seed).tolist()
+def _pair_residuals(f, phis, psis, seed):
+    return pm.symmetry_residuals(f, gm.as_double_stack(phis), gm.as_double_stack(psis),
+                                 sample_count=64, seed=seed)
 
 
-def _certify_pairs(f, phi_seq, psi_seq, tol, seed):
-    residuals = _pair_residuals(f, phi_seq, psi_seq, seed)
-    worst = max(residuals)
-    if worst > tol:
+def _certify_pairs(f, phis, psis, tol, seed):
+    residuals = _pair_residuals(f, phis, psis, seed)
+    worst = float(np.max(residuals))  # NaN if any residual is NaN
+    if not worst <= tol:
         raise SymmetryError("sequence is not certified in the symmetry group of the map", worst)
-    return residuals
+    return residuals.tolist()
 
 
-def _recentre(f, psi_seq):
-    """Post-compose f with the transport sending f(0) to 0 and conjugate
-    psi_seq (None passes through) by it, so pairs stay symmetries of f."""
+def _recentre(f, psis):
+    """Post-compose f with the transport sending f(0) to 0 and conjugate the
+    stack psis (None passes through) by it, so pairs stay symmetries of f."""
     f0 = f.eval(np.zeros(f.m, dtype=complex))
     if float(np.linalg.norm(f0)) <= 1e-14:
-        return f, psi_seq
+        return f, psis
     tau = gm.transport_to_origin(f0)
-    tau_inv = gm.inverse(tau)
-    if psi_seq is not None:
-        psi_seq = [gm.compose(tau, psi, tau_inv) for psi in psi_seq]
-    return f.with_postcomposition(tau), psi_seq
+    if psis is not None:
+        psis = gm.compose_stacks(tau.matrix, psis, gm.inverse(tau).matrix)
+    return f.with_postcomposition(tau), psis
 
 
-def normalize_map(f, phi_seq, psi_seq, *, residual_tol=pm.SYMMETRY_TOL):
+def normalize_map(f, phis, psis, *, residual_tol=pm.SYMMETRY_TOL):
     """Arrange f(0) = 0 and align the escape directions with e1 and e1'.
 
     Certifies the input pairs, recentres f(0) to 0 (conjugating psi to
     match), then pre/post-rotates so the final sequence element's orbit
-    directions land on the first basis vectors.  Returns the transformed
-    map and pairs; build_sequence certifies the transformed pairs.
+    directions land on the first basis vectors.  phis and psis are
+    (n, d+1, d+1) stacks; returns the transformed map and the conjugated
+    stacks (f, phis, psis), whose pairs build_sequence certifies.
     """
     f = pm.as_transformed(f)
-    phi_seq, psi_seq = list(phi_seq), list(psi_seq)
-    if not phi_seq or len(phi_seq) != len(psi_seq):
+    if not len(phis) or len(phis) != len(psis):
         raise InputError("normalize_map needs nonempty sequences of equal length")
-    _certify_pairs(f, phi_seq, psi_seq, residual_tol, seed=29)
-    f, psi_seq = _recentre(f, psi_seq)
+    _certify_pairs(f, phis, psis, residual_tol, seed=29)
+    f, psis = _recentre(f, psis)
 
-    x = gm._mobius_apply(phi_seq[-1].as_double().matrix, np.zeros(f.m, dtype=complex))
-    y = gm._mobius_apply(psi_seq[-1].as_double().matrix, np.zeros(f.M, dtype=complex))
+    x = gm._mobius_apply(gm.as_double_stack(phis[-1:])[0], np.zeros(f.m, dtype=complex))
+    y = gm._mobius_apply(gm.as_double_stack(psis[-1:])[0], np.zeros(f.M, dtype=complex))
     r1 = (gm.rotation_mapping_e1(x / np.linalg.norm(x))
           if np.linalg.norm(x) > 1e-8 else gm.Automorphism.identity(f.m))
     r2 = (gm.rotation_mapping_e1(y / np.linalg.norm(y))
           if np.linalg.norm(y) > 1e-8 else gm.Automorphism.identity(f.M))
     r1_inv, r2_inv = gm.inverse(r1), gm.inverse(r2)
     f = f.with_precomposition(r1).with_postcomposition(r2_inv)
-    pairs = [(gm.compose(r1_inv, phi, r1), gm.compose(r2_inv, psi, r2))
-             for phi, psi in zip(phi_seq, psi_seq)]
-    return f, pairs
+    return (f, gm.compose_stacks(r1_inv.matrix, phis, r1.matrix),
+            gm.compose_stacks(r2_inv.matrix, psis, r2.matrix))
 
 
 @dataclass(frozen=True)
@@ -182,24 +176,23 @@ class EscapeReport:
     escaped: bool
 
 
-def _orbit_pass(phi_seq, psi_seq, f):
+def _orbit_pass(phis, psis, f):
     """(wide canonical phi_n, phi_n(0) rows, psi_n(0) rows, EscapeReport).
 
     Each side is one stacked action: phi_n by the wide canonical matrix the
-    frames reuse for t_n, psi_n by its widened matrix; without psi_seq,
+    frames reuse for t_n, psi_n by its widened matrix; without psis,
     psi_n(0) = f(phi_n(0)) from one evaluation (no psi side without f).
     """
-    if psi_seq is not None and len(psi_seq) != len(phi_seq):
-        raise InputError("phi and psi sequences must have equal length")
-    m, M = (f.m, f.M) if f is not None else (phi_seq[0].dim, psi_seq and psi_seq[0].dim)
-    if any(phi.dim != m for phi in phi_seq) or any(psi.dim != M for psi in psi_seq or ()):
+    if np.ndim(phis) != 3 or not len(phis) or psis is not None and len(psis) != len(phis):
+        raise InputError("phi and psi sequences must be nonempty stacks of equal length")
+    if f is not None and (phis.shape[1:] != (f.m + 1,) * 2
+                          or psis is not None and psis.shape[1:] != (f.M + 1,) * 2):
         raise InputError("symmetry pair dimensions must match the map")
-    wide = gm._canonical_phase(np.stack([as_wide_complex(phi.matrix) for phi in phi_seq]))
-    phis = [gm.Automorphism._of_canonical(mat) for mat in wide]
-    phi0 = gm._mobius_apply(wide, np.zeros(m, dtype=WIDE_COMPLEX))
-    if psi_seq is not None:
-        psi0 = gm._mobius_apply(np.stack([as_wide_complex(psi.matrix) for psi in psi_seq]),
-                                np.zeros(M, dtype=WIDE_COMPLEX))
+    wide = gm._canonical_phase(as_wide_complex(phis))
+    phi0 = gm._mobius_apply(wide, np.zeros(phis.shape[-1] - 1, dtype=WIDE_COMPLEX))
+    if psis is not None:
+        psi0 = gm._mobius_apply(as_wide_complex(psis),
+                                np.zeros(psis.shape[-1] - 1, dtype=WIDE_COMPLEX))
     else:
         psi0 = f.eval(phi0) if f is not None else None
     gaps = one_minus_norm(phi0).astype(np.float64)
@@ -209,17 +202,18 @@ def _orbit_pass(phi_seq, psi_seq, f):
     if psi_gaps is not None:
         escaped = escaped and 0 < psi_gaps[-1] <= math.sqrt(GAP_THRESHOLD)
         psi_gaps = tuple(psi_gaps.tolist())
-    return phis, phi0, psi0, EscapeReport(tuple(gaps.tolist()), psi_gaps, monotone, bool(escaped))
+    return wide, phi0, psi0, EscapeReport(tuple(gaps.tolist()), psi_gaps, monotone, bool(escaped))
 
 
-def escape_check(phi_seq, psi_seq=None, *, f=None):
+def escape_check(phis, psis=None, *, f=None):
     """Verify the orbit of 0 escapes to the boundary along the sequence.
 
-    psi orbits come from psi_seq when given, otherwise from f(phi_n(0)).
-    A non-escaping sequence is reported, not raised; pipelines that need the
-    limit raise DiagnosticError on a negative report.
+    phis and psis are (n, d+1, d+1) stacks; psi orbits come from psis when
+    given, otherwise from f(phi_n(0)).  A non-escaping sequence is reported,
+    not raised; pipelines that need the limit raise DiagnosticError on a
+    negative report.
     """
-    return _orbit_pass(phi_seq, psi_seq, f)[-1]
+    return _orbit_pass(phis, psis, f)[-1]
 
 
 # --- trace construction ---------------------------------------------------------
@@ -256,7 +250,7 @@ class RescalingTrace:
         return len(self.indices)
 
 
-def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
+def build_sequence(f, phis, psis=None, *, conjugate=False,
                    membership_tol=pm.SYMMETRY_TOL, allow_non_escaping=False, seed=31):
     """Construct the recentred maps h_n, g_n and their boundary jets.
 
@@ -270,31 +264,26 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
     a second; each chain of a stack has the arithmetic of a lone chain.
     """
     f = pm.as_transformed(f)
-    m, M = f.m, f.M
-    phi_seq = list(phi_seq)
-    psi_seq = list(psi_seq) if psi_seq is not None else None
-    if not phi_seq:
-        raise InputError("build_sequence needs a nonempty sequence")
-    if not conjugate and psi_seq is None:
+    if not conjugate and psis is None:
         raise InputError("sequence mode needs the psi sequence")
 
-    f0 = f.eval(np.zeros(m, dtype=complex))
+    f0 = f.eval(np.zeros(f.m, dtype=complex))
     if float(np.linalg.norm(f0)) > 1e-10:
         raise InputError("build_sequence needs f(0) = 0; run normalize_map first")
 
-    phis, phi0, psi0, report = _orbit_pass(phi_seq, psi_seq, f)
+    wide, phi0, psi0, report = _orbit_pass(phis, psis, f)
     if not report.escaped and not allow_non_escaping:
         raise DiagnosticError(
             f"sequence does not escape to the boundary (final gap {report.phi_gaps[-1]:.3g})")
 
-    residuals = [None] * len(phi_seq)
+    residuals = [None] * len(wide)
     if not conjugate:
-        residuals = _certify_pairs(f, phi_seq, psi_seq, membership_tol, seed)
-    elif psi_seq is not None:
-        residuals = _pair_residuals(f, phi_seq, psi_seq, seed)
+        residuals = _certify_pairs(f, phis, psis, membership_tol, seed)
+    elif psis is not None:
+        residuals = _pair_residuals(f, phis, psis, seed).tolist()
 
-    conj_pts = siegel_interior_points(rng_from_seed(seed), 20, m, scale=0.25)
-    frames, failure = _frames(f, phis, phi0, psi0, None if conjugate else psi_seq)
+    conj_pts = siegel_interior_points(rng_from_seed(seed), 20, f.m, scale=0.25)
+    frames, failure = _frames(f, wide, phi0, psi0, None if conjugate else psis)
     if failure is not None:
         # the indices before the failing frame come first in index order
         if len(frames):
@@ -322,7 +311,7 @@ def build_sequence(f, phi_seq, psi_seq=None, *, conjugate=False,
             symmetry_residual=residuals[i],
             conjugation_residual=conj_residual,
         ))
-    return RescalingTrace(m, M, "conjugate" if conjugate else "sequence",
+    return RescalingTrace(f.m, f.M, "conjugate" if conjugate else "sequence",
                           tuple(indices), f)
 
 
@@ -350,10 +339,10 @@ class _Frames:
         return _Frames(*(getattr(self, fl.name)[rows] for fl in fields(self)))
 
 
-def _frames(f, phis, p, psi0, psi_seq):
-    """The frames of every index from the orbit pass: wide canonical phi_n,
-    rows p = phi_n(0) and psi0 = psi_n(0); g_n comes from the pairs, by flow
-    conjugation if psi_seq is None.
+def _frames(f, phis, p, psi0, psis):
+    """The frames of every index from the orbit pass: the stack of wide
+    canonical phi_n, rows p = phi_n(0) and psi0 = psi_n(0); g_n comes from
+    the pairs with the stack psis, by flow conjugation if psis is None.
 
     Returns (frames, failure).  `frames` holds the indices before the first
     one whose frame fails and `failure` that index's error, None if every
@@ -363,7 +352,6 @@ def _frames(f, phis, p, psi0, psi_seq):
     row that a build of one index at a time never reaches (say arctanh(1)
     at |phi_n(0)| = 1) prints nothing.
     """
-    m, M = f.m, f.M
     passed, failure = len(p), None  # rows that passed every check so far, the first failure
 
     def check(bad, error):
@@ -391,15 +379,13 @@ def _frames(f, phis, p, psi0, psi_seq):
     l_n = gm.rotations_e1(fv / np.sqrt((np.abs(fv) ** 2).sum(axis=-1).real)[:, None],
                           dtype=WIDE_COMPLEX)
     l_inv = gm.inverses(l_n)
-    pre_conj = gm.compose_stacks(k_n, gm.cartans(t, m, dtype=WIDE_COMPLEX))
-    post_conj = gm.compose_stacks(gm.cartans(-t, M, dtype=WIDE_COMPLEX), l_inv)
-    if psi_seq is None:
+    pre_conj = gm.compose_stacks(k_n, gm.cartans(t, f.m, dtype=WIDE_COMPLEX))
+    post_conj = gm.compose_stacks(gm.cartans(-t, f.M, dtype=WIDE_COMPLEX), l_inv)
+    if psis is None:
         pre_g, post_g = pre_conj, post_conj
     else:
-        phi_stack = np.stack([phi.matrix for phi in phis])[:passed]
-        psi_stack = np.stack([as_wide_complex(psi.matrix) for psi in psi_seq])[:passed]
-        pre_g = gm.compose_stacks(gm.inverses(phi_stack), pre_conj)
-        post_g = gm.compose_stacks(post_conj, gm._canonical_phase(psi_stack))
+        pre_g = gm.compose_stacks(gm.inverses(phis[:passed]), pre_conj)
+        post_g = gm.compose_stacks(post_conj, gm._canonical_phase(as_wide_complex(psis[:passed])))
     return _Frames(t, k_n, l_n, l_inv, pre_g, post_g, pre_conj, post_conj, psi0[:passed]), failure
 
 
@@ -718,28 +704,27 @@ class _Stage:
         return False
 
 
-def run_pipeline(f, phi_seq, psi_seq=None, *, conjugate=False, tail=3,
+def run_pipeline(f, phis, psis=None, *, conjugate=False, tail=3,
                  membership_tol=pm.SYMMETRY_TOL, morse_trials=0, seed=31):
     """normalize -> escape gate -> build -> scaling law -> limit -> normal form -> flatten.
 
+    phis and psis are (n, d+1, d+1) stacks, as cartan_sequence gives them.
     Every failure carries the name of the stage it occurred in.
     """
     if morse_trials < 0:
         raise InputError(f"morse_trials must be nonnegative, got {morse_trials}")
-    if len(phi_seq) < 2:
-        raise InputError(f"the sequence needs at least 2 pairs, got {len(phi_seq)}")
+    if len(phis) < 2:
+        raise InputError(f"the sequence needs at least 2 pairs, got {len(phis)}")
     with _Stage("normalize_map"):
         if conjugate:
-            f_n, pairs_psi = _recentre(pm.as_transformed(f), psi_seq)
-            pairs_phi = phi_seq
-        elif psi_seq is None:
+            f_n, psis = _recentre(pm.as_transformed(f), psis)
+        elif psis is None:
             raise InputError("sequence mode needs the psi sequence")
         else:
-            f_n, pairs = normalize_map(f, phi_seq, psi_seq, residual_tol=membership_tol)
-            pairs_phi, pairs_psi = zip(*pairs)
+            f_n, phis, psis = normalize_map(f, phis, psis, residual_tol=membership_tol)
 
     with _Stage("build_sequence"):
-        trace = build_sequence(f_n, pairs_phi, pairs_psi, conjugate=conjugate,
+        trace = build_sequence(f_n, phis, psis, conjugate=conjugate,
                                membership_tol=membership_tol, seed=seed)
     with _Stage("verify_scaling_law"):
         scaling_error = verify_scaling_law(trace)
@@ -764,16 +749,6 @@ def run_pipeline(f, phi_seq, psi_seq=None, *, conjugate=False, tail=3,
 def _complex_to_json(arr):
     a = np.asarray(arr, dtype=np.complex128)
     return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def _automorphisms_to_json(automorphisms):
-    """Each automorphism's as_double() matrix, converted in one pass: the
-    wide ones are rounded and put in canonical phase as one stack."""
-    mats = np.stack([g.matrix for g in automorphisms]).astype(np.complex128)
-    wide = np.array([g.matrix.dtype != np.complex128 for g in automorphisms])
-    if wide.any():
-        mats[wide] = gm._canonical_phase(mats[wide])
-    return _complex_to_json(mats)
 
 
 def _jets_to_json(jets):
@@ -819,7 +794,9 @@ def trace_document(result):
         },
     }
     indices = trace.indices
-    columns = [_automorphisms_to_json([getattr(idx, name) for idx in indices])
+    # each frame field's as_double() matrices, rounded as one stack (all are wide)
+    columns = [_complex_to_json(gm.as_double_stack(np.stack([getattr(idx, name).matrix
+                                                             for idx in indices])))
                for name in ("k_n", "l_n", "alpha_n", "beta_n")]
     columns += [_jets_to_json([getattr(idx, name) for idx in indices]) for name in ("h_jet", "g_jet")]
     for idx, k_n, l_n, alpha_n, beta_n, h_jet, g_jet in zip(indices, *columns):

@@ -46,11 +46,6 @@ def catalog_fixtures():
     return bm.standard_catalog()
 
 
-def cartan_pairs(m, M, ns):
-    pairs = rs.cartan_sequence(m, M, ns)
-    return [p for p, _ in pairs], [q for _, q in pairs]
-
-
 def test_c1_group_metric_suite():
     with criterion(1, "group/metric suite", 5.0):
         rng = rng_from_seed(101)
@@ -155,7 +150,7 @@ def test_c6_scaling_table_exactness():
         )
         for name, f, conjugate in cases:
             fT = pm.as_transformed(f)
-            phis, psis = cartan_pairs(fT.m, fT.M, range(1, 11))
+            phis, psis = rs.cartan_sequence(fT.m, fT.M, range(1, 11))
             trace = rs.build_sequence(fT, phis, None if conjugate else psis,
                                       conjugate=conjugate)
             err = rs.verify_scaling_law(trace)
@@ -188,7 +183,7 @@ def test_c7_end_to_end_rigidity_oracle(tmp_path, capsys):
 def test_c8_negative_controls(tmp_path, capsys):
     with criterion(8, "negative controls", 5.0):
         # (a) a non-member sequence is rejected with a large residual
-        phis, psis = cartan_pairs(2, 3, range(1, 6))
+        phis, psis = rs.cartan_sequence(2, 3, range(1, 6))
         with pytest.raises(SymmetryError) as info:
             rs.normalize_map(bm.catalog("whitney"), phis, psis)
         assert info.value.residual > 0.1
@@ -198,7 +193,7 @@ def test_c8_negative_controls(tmp_path, capsys):
         assert code == 2
 
         # (b) a hand-corrupted jet is rejected naming the coefficient class
-        phis, psis = cartan_pairs(2, 4, range(1, 7))
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 7))
         result = rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis)
         jet = result.limit_jet
         first = jet.first.copy()

@@ -5,6 +5,7 @@ import pytest
 
 import ballmaps as bm
 from ballmaps import cli
+from ballmaps import group_models as gm
 from ballmaps import proper_maps as pm
 from ballmaps import rescaling as rs
 
@@ -18,6 +19,32 @@ def run(capsys, args):
 def complex_json(a):
     a = np.asarray(a, dtype=complex)
     return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def cartan_sequence_doc(m, M, n_end):
+    """A sequence file document: the built-in pairs rounded to double."""
+    phis, psis = (gm.as_double_stack(side)
+                  for side in rs.cartan_sequence(m, M, range(1, n_end + 1)))
+    return {"pairs": [{"phi": complex_json(phi), "psi": complex_json(psi)}
+                      for phi, psi in zip(phis, psis)]}
+
+
+def _set_entry(doc, pair, side, value):
+    doc["pairs"][pair][side][1][2][0] = value
+
+
+# a 7-pair file made malformed: (edit, what the message names)
+MALFORMED_SEQUENCES = {
+    "infinite psi entry": (lambda doc: _set_entry(doc, 3, "psi", float("inf")),
+                           "pairs[3] has a non-finite entry"),
+    "NaN phi entry": (lambda doc: _set_entry(doc, 4, "phi", float("nan")),
+                      "pairs[4] has a non-finite entry"),
+    "null entry": (lambda doc: _set_entry(doc, 6, "psi", None),
+                   "pairs[6] has a non-finite entry"),
+    "degenerate matrix": (lambda doc: doc["pairs"][5]["phi"].__setitem__(-1, [[0.0, 0.0]] * 3),
+                          "pairs[5].phi: degenerate matrix: last row is zero"),
+    "no pairs": (lambda doc: doc["pairs"].clear(), "no pairs"),
+}
 
 
 class TestDist:
@@ -121,8 +148,7 @@ class TestRadialSweep:
             got = (doc["C"], doc["beta"], doc["base_offset"], doc["D"], doc["bound"])
             c = pm.radial_bound_constants(spec, 3, 53)
             assert got == (c.C, c.beta, c.base_offset, c.D, c.bound)
-        pairs = rs.cartan_sequence(2, 4, range(1, 8))
-        c = rs.run_pipeline(spec, [p for p, _ in pairs], [q for _, q in pairs],
+        c = rs.run_pipeline(spec, *rs.cartan_sequence(2, 4, range(1, 8)),
                             morse_trials=3).constants
         assert c.D > 0
         assert got == (c.C, c.beta, c.base_offset, c.D, c.bound)
@@ -253,6 +279,21 @@ class TestRescale:
             assert code == 2
             assert "symmetry pair dimensions must match the map" in err
             assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("case", MALFORMED_SEQUENCES)
+    def test_malformed_sequence_file_exit(self, capsys, tmp_path, case):
+        seq = tmp_path / "seq.json"
+        argv = ["rescale", "--map", "linear", "--m", "2", "--M", "4",
+                "--seq", "custom-file", "--seq-file", str(seq)]
+        doc = cartan_sequence_doc(2, 4, 7)
+        seq.write_text(json.dumps(doc))
+        assert run(capsys, argv)[0] == 0
+        edit, message = MALFORMED_SEQUENCES[case]
+        edit(doc)
+        seq.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"validation error: malformed sequence file {seq}: {message}\n"
 
     def test_negative_morse_trials_exit(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -404,6 +445,14 @@ class TestVerifyGroup:
         path.write_text(json.dumps(complex_json(mat)))
         code, _, _ = run(capsys, ["verify-group", "--matrix-file", str(path)])
         assert code == 3
+
+    @pytest.mark.parametrize("value", ("NaN", "Infinity"))
+    def test_non_finite_matrix_exit(self, capsys, tmp_path, value):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(complex_json(np.eye(3))).replace("0.0", value, 1))
+        code, out, err = run(capsys, ["verify-group", "--matrix-file", str(path)])
+        assert code == 2 and out == ""
+        assert "non-finite entry" in err
 
 
 class TestCatalogCommand:

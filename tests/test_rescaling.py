@@ -19,21 +19,16 @@ from ballmaps.errors import (
 from ballmaps.numerics import rng_from_seed
 
 
-def cartan_pairs(m, M, ns):
-    pairs = rs.cartan_sequence(m, M, ns)
-    return [p for p, _ in pairs], [q for _, q in pairs]
-
-
 @pytest.fixture(scope="module")
 def linear_trace():
-    phis, psis = cartan_pairs(2, 4, range(1, 7))
+    phis, psis = rs.cartan_sequence(2, 4, range(1, 7))
     return rs.build_sequence(pm.as_transformed(bm.catalog("linear", m=2, M=4)),
                              phis, psis)
 
 
 @pytest.fixture(scope="module")
 def whitney_trace():
-    phis, _ = cartan_pairs(2, 3, range(1, 11))
+    phis, _ = rs.cartan_sequence(2, 3, range(1, 11))
     return rs.build_sequence(pm.as_transformed(bm.catalog("whitney")),
                              phis, None, conjugate=True)
 
@@ -69,8 +64,8 @@ class TestScalingFactors:
 class TestNormalizeMap:
     def test_linear_already_normalized(self):
         f = bm.catalog("linear", m=2, M=4)
-        phis, psis = cartan_pairs(2, 4, range(1, 6))
-        fn, pairs = rs.normalize_map(f, phis, psis)
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 6))
+        fn, _, _ = rs.normalize_map(f, phis, psis)
         z = np.array([0.2 + 0.1j, -0.3j])
         assert np.abs(fn.eval(z) - pm.as_transformed(f).eval(z)).max() <= 1e-12
 
@@ -79,9 +74,9 @@ class TestNormalizeMap:
         shift = gm.inverse(gm.transport_to_origin(np.array([0.3 + 0.1j, 0.0, -0.2j, 0.05])))
         shift_inv = gm.inverse(shift)
         f_shift = pm.as_transformed(f).with_postcomposition(shift)
-        phis, psis = cartan_pairs(2, 4, range(1, 6))
-        psis = [gm.compose(shift, q, shift_inv) for q in psis]
-        fn, _ = rs.normalize_map(f_shift, phis, psis)
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 6))
+        psis = gm.compose_stacks(shift.matrix, psis, shift_inv.matrix)
+        fn, _, _ = rs.normalize_map(f_shift, phis, psis)
         assert np.linalg.norm(fn.eval(np.zeros(2, dtype=complex))) <= 1e-12
 
     def test_rotated_sequence_lands_on_e1(self):
@@ -89,16 +84,25 @@ class TestNormalizeMap:
         v = np.array([0.6, 0.8j])
         kv = gm.rotation_mapping_e1(v)
         kv_inv = gm.inverse(kv)
-        phis, _ = cartan_pairs(2, 4, range(1, 6))
-        phis = [gm.compose(kv, p, kv_inv) for p in phis]
-        psis = [bm.block_extend(p, 4) for p in phis]
-        fn, pairs = rs.normalize_map(f, phis, psis)
-        p_last = gm._mobius_apply(pairs[-1][0].as_double().matrix, np.zeros(2, dtype=complex))
+        phis, _ = rs.cartan_sequence(2, 4, range(1, 6))
+        phis = gm.compose_stacks(kv.matrix, phis, kv_inv.matrix)
+        psis = bm.block_extend(phis, 4)
+        fn, phis, _ = rs.normalize_map(f, phis, psis)
+        p_last = gm._mobius_apply(gm.as_double_stack(phis[-1:])[0], np.zeros(2, dtype=complex))
         direction = p_last / np.linalg.norm(p_last)
         assert np.abs(direction - np.array([1.0, 0.0])).max() <= 1e-8
 
+    def test_nan_psi_rejected(self):
+        # a NaN residual after the first fails the certificate too
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 6))
+        psis = psis.copy()
+        psis[2, 0, 1] = np.nan
+        with pytest.raises(SymmetryError) as info:
+            rs.normalize_map(bm.catalog("linear", m=2, M=4), phis, psis)
+        assert math.isnan(info.value.residual)
+
     def test_non_member_rejected(self):
-        phis, psis = cartan_pairs(2, 3, range(1, 5))
+        phis, psis = rs.cartan_sequence(2, 3, range(1, 5))
         with pytest.raises(SymmetryError) as info:
             rs.normalize_map(bm.catalog("whitney"), phis, psis)
         assert info.value.residual > 0.1
@@ -106,7 +110,7 @@ class TestNormalizeMap:
 
 class TestEscapeCheck:
     def test_cartan_gaps(self):
-        phis, psis = cartan_pairs(2, 4, range(1, 11))
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 11))
         report = rs.escape_check(phis, psis)
         assert report.escaped and report.monotone
         # 1 - tanh(10) = 2 e^{-20} / (1 + e^{-20})
@@ -114,21 +118,25 @@ class TestEscapeCheck:
         assert abs(report.phi_gaps[-1] - expected) <= 1e-6 * expected
 
     def test_constant_sequence_flagged(self):
-        phis = [gm.Automorphism.identity(2)] * 4
-        psis = [gm.Automorphism.identity(4)] * 4
+        phis = np.stack([np.eye(3, dtype=complex)] * 4)
+        psis = np.stack([np.eye(5, dtype=complex)] * 4)
         report = rs.escape_check(phis, psis)
         assert not report.escaped
 
+    def test_empty_sequence_is_an_input_error(self):
+        with pytest.raises(InputError, match="nonempty stacks"):
+            rs.escape_check([])
+
     def test_proper_map_drags_psi_gap(self):
         f = pm.as_transformed(bm.catalog("whitney"))
-        phis, _ = cartan_pairs(2, 3, range(1, 9))
+        phis, _ = rs.cartan_sequence(2, 3, range(1, 9))
         report = rs.escape_check(phis, f=f)
         assert report.psi_gaps[-1] < 1e-3
         assert all(b < a for a, b in zip(report.psi_gaps[:-1], report.psi_gaps[1:]))
 
     def test_build_sequence_raises_diagnostic(self):
-        phis = [gm.Automorphism.identity(2)] * 4
-        psis = [gm.Automorphism.identity(4)] * 4
+        phis = np.stack([np.eye(3, dtype=complex)] * 4)
+        psis = np.stack([np.eye(5, dtype=complex)] * 4)
         with pytest.raises(DiagnosticError):
             rs.build_sequence(pm.as_transformed(bm.catalog("linear", m=2, M=4)),
                               phis, psis)
@@ -174,13 +182,13 @@ class TestBuildSequence:
             assert idx.phi_gap > 0 and idx.psi_gap > 0
 
     def test_missing_psi_in_sequence_mode(self):
-        phis, _ = cartan_pairs(2, 4, range(1, 5))
+        phis, _ = rs.cartan_sequence(2, 4, range(1, 5))
         with pytest.raises(InputError):
             rs.build_sequence(pm.as_transformed(bm.catalog("linear", m=2, M=4)),
                               phis, None)
 
     def test_flow_cap(self):
-        phis, psis = cartan_pairs(2, 4, [19])
+        phis, psis = rs.cartan_sequence(2, 4, [19])
         with pytest.raises(InputError):
             rs.build_sequence(pm.as_transformed(bm.catalog("linear", m=2, M=4)),
                               phis, psis, allow_non_escaping=True)
@@ -201,13 +209,13 @@ class TestScalingLaw:
              .with_postcomposition(gm.random_automorphism(rng, 3)))
         f0 = f.eval(np.zeros(2, dtype=complex))
         f = f.with_postcomposition(gm.transport_to_origin(f0))
-        phis, _ = cartan_pairs(2, 3, range(1, 7))
+        phis, _ = rs.cartan_sequence(2, 3, range(1, 7))
         trace = rs.build_sequence(f, phis, None, conjugate=True)
         assert rs.verify_scaling_law(trace) <= 1e-8
 
     def test_higher_dimensional_power_map(self):
         f = bm.catalog("power", m=3, d=2)
-        phis, _ = cartan_pairs(3, f.M, range(1, 9))
+        phis, _ = rs.cartan_sequence(3, f.M, range(1, 9))
         trace = rs.build_sequence(pm.as_transformed(f), phis, None, conjugate=True)
         assert rs.verify_scaling_law(trace) <= 1e-8
 
@@ -228,7 +236,7 @@ class TestLimitExtraction:
         assert report.decay_ok
 
     def test_short_trace_tail_one(self):
-        phis, psis = cartan_pairs(2, 4, [4, 5])
+        phis, psis = rs.cartan_sequence(2, 4, [4, 5])
         trace = rs.build_sequence(pm.as_transformed(bm.catalog("linear", m=2, M=4)),
                                   phis, psis)
         jet, report = rs.extract_limit_jet(trace, tail=1)
@@ -375,14 +383,14 @@ class TestFinalNormalization:
 
 class TestPipeline:
     def test_end_to_end_linear(self):
-        phis, psis = cartan_pairs(2, 4, range(1, 13))
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 13))
         result = rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis)
         assert abs(result.normal_form.lam - 1.0) <= 1e-6
         assert result.final.flatten_residual <= 1e-8
         assert result.scaling_error <= 1e-8
 
     def test_identity_map_m1(self):
-        phis, psis = cartan_pairs(1, 1, range(1, 8))
+        phis, psis = rs.cartan_sequence(1, 1, range(1, 8))
         result = rs.run_pipeline(bm.catalog("linear", m=1, M=1), phis, psis)
         assert result.normal_form.U.shape == (0, 0)
         assert abs(result.normal_form.lam - 1.0) <= 1e-9
@@ -390,7 +398,7 @@ class TestPipeline:
 
     def test_conjugate_route_agrees_on_member_case(self):
         # for a genuine symmetry sequence the two recentring routes coincide
-        phis, psis = cartan_pairs(2, 4, range(1, 9))
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 9))
         result = rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis,
                                  conjugate=True)
         assert abs(result.normal_form.lam - 1.0) <= 1e-9
@@ -403,8 +411,8 @@ class TestPipeline:
         shift = gm.inverse(gm.transport_to_origin(np.array([0.3 + 0.1j, 0.0, -0.2j, 0.05])))
         shift_inv = gm.inverse(shift)
         f_shift = pm.as_transformed(f).with_postcomposition(shift)
-        phis, psis = cartan_pairs(2, 4, range(1, 9))
-        psis = [gm.compose(shift, q, shift_inv) for q in psis]
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 9))
+        psis = gm.compose_stacks(shift.matrix, psis, shift_inv.matrix)
         conj = rs.run_pipeline(f_shift, phis, psis, conjugate=True).trace
         seq = rs.run_pipeline(f_shift, phis, psis).trace
         for c, s in zip(conj.indices, seq.indices):
@@ -423,7 +431,7 @@ class TestPipeline:
             return original(f, phis, psis, *args, **kwargs)
 
         monkeypatch.setattr(pm, "symmetry_residuals", counting)
-        phis, psis = cartan_pairs(2, 4, range(1, 7))
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 7))
         rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis)
         assert len(calls) == 2 * len(phis)
 
@@ -439,25 +447,46 @@ class TestPipeline:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(gm, "_mobius_apply", counting)
-        phis, psis = cartan_pairs(3, 5, range(1, 13))
+        phis, psis = rs.cartan_sequence(3, 5, range(1, 13))
         rs.run_pipeline(bm.catalog("linear", m=3, M=5), phis, psis)
         assert len(calls) <= 57
 
+    def test_group_ops_per_pipeline(self, monkeypatch):
+        # each side of the sequence is one stack from load to frames: one
+        # canonical phase per stacked product and no Automorphism per matrix;
+        # a list of Automorphism per side took 102 phases and 53 constructions
+        counts = {"phase": 0, "automorphism": 0}
+        phase, post_init = gm._canonical_phase, gm.Automorphism.__post_init__
+
+        def counting_phase(*args):
+            counts["phase"] += 1
+            return phase(*args)
+
+        def counting_post_init(self):
+            counts["automorphism"] += 1
+            post_init(self)
+
+        phis, psis = rs.cartan_sequence(3, 5, range(1, 13))
+        monkeypatch.setattr(gm, "_canonical_phase", counting_phase)
+        monkeypatch.setattr(gm.Automorphism, "__post_init__", counting_post_init)
+        rs.run_pipeline(bm.catalog("linear", m=3, M=5), phis, psis)
+        assert counts["phase"] <= 36 and counts["automorphism"] <= 3
+
     def test_one_pair_is_too_short(self):
-        phis, psis = cartan_pairs(2, 4, [5])
+        phis, psis = rs.cartan_sequence(2, 4, [5])
         for conjugate in (False, True):
             with pytest.raises(InputError, match="at least 2 pairs, got 1"):
                 rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis,
                                 conjugate=conjugate)
 
     def test_stage_names_in_errors(self):
-        phis, psis = cartan_pairs(2, 3, range(1, 5))
+        phis, psis = rs.cartan_sequence(2, 3, range(1, 5))
         with pytest.raises(SymmetryError) as info:
             rs.run_pipeline(bm.catalog("whitney"), phis, psis)
         assert "[normalize_map]" in str(info.value)
 
     def test_compactness_bound_flag(self):
-        phis, psis = cartan_pairs(2, 4, range(1, 8))
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 8))
         result = rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis,
                                  morse_trials=6)
         assert result.constants is not None
@@ -465,12 +494,12 @@ class TestPipeline:
         assert result.compactness_within_bound is True
 
     def test_negative_morse_trials_rejected(self):
-        phis, psis = cartan_pairs(2, 4, range(1, 8))
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 8))
         with pytest.raises(InputError, match="morse_trials"):
             rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis, morse_trials=-1)
 
     def test_trace_document_roundtrip(self, tmp_path):
-        phis, psis = cartan_pairs(2, 4, range(1, 7))
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 7))
         result = rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis)
         path = tmp_path / "trace.json"
         rs.save_trace(result, path)
@@ -508,13 +537,13 @@ def assert_same_document(got, want, where="doc"):
 class TestSavedTrace:
     @pytest.fixture(scope="class")
     def sequence_result(self):
-        phis, psis = cartan_pairs(2, 4, range(1, 8))
+        phis, psis = rs.cartan_sequence(2, 4, range(1, 8))
         return rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, psis,
                                morse_trials=3)
 
     @pytest.fixture(scope="class")
     def conjugate_result(self):
-        phis, _ = cartan_pairs(2, 4, range(1, 9))
+        phis, _ = rs.cartan_sequence(2, 4, range(1, 9))
         return rs.run_pipeline(bm.catalog("linear", m=2, M=4), phis, None,
                                conjugate=True)
 

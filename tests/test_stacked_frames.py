@@ -269,8 +269,10 @@ def _assert_frames_equal_per_index(f, phis, psis):
     assert failure is None and len(frames) == len(phis)
     h_ends, g_ends, conj_ends = rs._chain_ends(f, frames)
     alphas = gm.inverses(frames.pre_g)
+    wrap = gm.Automorphism._of_canonical
     for i, phi in enumerate(phis):
-        ref = _frame_reference(f, phi, phi0[i], psi0[i], None if psis is None else psis[i])
+        ref = _frame_reference(f, wrap(phi), phi0[i], psi0[i],
+                               None if psis is None else wrap(psis[i]))
         assert same_bits(frames.t[i], ref.t) and same_bits(frames.psi0[i], ref.psi0)
         for name in ("k_n", "l_n", "l_inv", "pre_g", "post_g", "pre_conj", "post_conj"):
             assert same_bits(getattr(frames, name)[i], getattr(ref, name).matrix), name
@@ -288,7 +290,7 @@ def _assert_frames_equal_per_index(f, phis, psis):
 def _file_sequence(dims, kind, seed, double):
     phis, psis = sequence(*dims, kind, seed=seed)
     if double:
-        phis, psis = [p.as_double() for p in phis], [q.as_double() for q in psis]
+        phis, psis = gm.as_double_stack(phis), gm.as_double_stack(psis)
     return phis, psis
 
 
@@ -343,7 +345,7 @@ def test_trace_document_is_byte_identical(kind, double, conjugate):
     phis, psis = sequence(3, 5, kind, seed=4)
     phis, psis = phis[:8], psis[:8]
     if double:
-        phis, psis = [p.as_double() for p in phis], [q.as_double() for q in psis]
+        phis, psis = gm.as_double_stack(phis), gm.as_double_stack(psis)
     result = rs.run_pipeline(f, phis, psis, conjugate=conjugate, morse_trials=1)
     assert json.dumps(rs.trace_document(result)) == json.dumps(_trace_document_reference(result))
 
@@ -395,7 +397,7 @@ def test_failing_frame_raises_the_first_failure_after_prefix_jets(monkeypatch, c
     # arctanh(1) or fail other checks if the pass reached them (warnings are
     # errors in this suite)
     make_map, make_phis, index, message = FAILURES[case]
-    f, phis = make_map(), make_phis()
+    f, phis = make_map(), np.stack([phi.matrix for phi in make_phis()])
     prefixes = []
     jets = rs._frame_jets_in_order
 

@@ -61,13 +61,12 @@ def same_bits(a, b):
 def sequence(m, M, kind, seed=7):
     """The cartan sequence, or k a_n k^-1 with a seeded Haar unitary k."""
     if kind == "cartan":
-        pairs = rs.cartan_sequence(m, M, N_VALUES)
-        return [p for p, _ in pairs], [q for _, q in pairs]
+        return rs.cartan_sequence(m, M, N_VALUES)
     k = np.eye(m + 1, dtype=WIDE_COMPLEX)
     k[:m, :m] = random_unitary(rng_from_seed(seed), m)
-    phis = [gm.Automorphism(k @ gm.cartan(float(n), m, dtype=WIDE_COMPLEX).matrix @ k.conj().T)
-            for n in N_VALUES]
-    return phis, [pm.block_extend(phi, M) for phi in phis]
+    phis = gm._canonical_phase(
+        k @ gm.cartans(np.asarray(N_VALUES, dtype=float), m, dtype=WIDE_COMPLEX) @ k.conj().T)
+    return phis, pm.block_extend(phis, M)
 
 
 def chains(name, kind):
@@ -134,15 +133,15 @@ def test_orbit_pass_equals_per_index_images(name, kind, double):
     f = pm.as_transformed(MAPS[name]())
     phis, psis = sequence(f.m, f.M, kind)
     if double:
-        phis, psis = [p.as_double() for p in phis], [q.as_double() for q in psis]
+        phis, psis = gm.as_double_stack(phis), gm.as_double_stack(psis)
     wide, phi0, psi0, _ = rs._orbit_pass(phis, psis, f)
     f_phi0 = rs._orbit_pass(phis, None, f)[2]
     for i, (phi, psi) in enumerate(zip(phis, psis)):
-        canonical = gm.Automorphism(as_wide_complex(phi.matrix)).matrix
-        assert same_bits(wide[i].matrix, canonical)
+        canonical = gm.Automorphism(as_wide_complex(phi)).matrix
+        assert same_bits(wide[i], canonical)
         p = origin_image(canonical)
         assert same_bits(phi0[i], p)
-        assert same_bits(psi0[i], origin_image(psi.matrix))
+        assert same_bits(psi0[i], origin_image(psi))
         assert same_bits(f_phi0[i], f.eval(p))
 
 
@@ -152,10 +151,10 @@ def test_phi_gap_is_the_gap_behind_t_n(seed, conjugate):
     # a file sequence: double matrices, recanonicalised in extended precision
     f = pm.as_transformed(bm.catalog("linear", m=3, M=5))
     phis, psis = sequence(3, 5, "rotated", seed=seed)
-    phis, psis = [p.as_double() for p in phis], [q.as_double() for q in psis]
+    phis, psis = gm.as_double_stack(phis), gm.as_double_stack(psis)
     trace = rs.build_sequence(f, phis, psis, conjugate=conjugate)
     for idx, phi in zip(trace.indices, phis):
-        p = origin_image(gm.Automorphism(as_wide_complex(phi.matrix)).matrix)
+        p = origin_image(gm.Automorphism(as_wide_complex(phi)).matrix)
         assert idx.t_n == float(np.arctanh(np.sqrt((np.abs(p) ** 2).sum().real)))
         assert idx.phi_gap == float(one_minus_norm(p))
 
@@ -163,8 +162,8 @@ def test_phi_gap_is_the_gap_behind_t_n(seed, conjugate):
 def _pair_residual_reference(f, phi, psi, sample_count, seed):
     """verify_symmetry_pair as one pair and two 2-D actions, before stacking."""
     pts = interior_points(rng_from_seed(seed), sample_count, f.m, max_norm=0.95)
-    lhs = _mobius_2d_reference(psi.matrix, f.eval(pts))
-    rhs = f.eval(_mobius_2d_reference(phi.matrix, pts))
+    lhs = _mobius_2d_reference(psi, f.eval(pts))
+    rhs = f.eval(_mobius_2d_reference(phi, pts))
     return float(np.max(np.linalg.norm((lhs - rhs).astype(np.complex128), axis=1)))
 
 
@@ -174,11 +173,12 @@ def test_stacked_pair_residuals_equal_per_pair_calls(name, kind):
     # whitney and power are no members: their residuals are large, still exact
     f = pm.as_transformed(MAPS[name]())
     phis, psis = sequence(f.m, f.M, kind)
-    for wide in (False, True):
-        pairs = [(p, q) if wide else (p.as_double(), q.as_double()) for p, q in zip(phis, psis)]
-        stacked = pm.symmetry_residuals(f, *zip(*pairs), sample_count=64, seed=29)
-        for (phi, psi), got in zip(pairs, stacked):
-            one = pm.verify_symmetry_pair(f, phi, psi, sample_count=64, seed=29).residual
+    wrap = gm.Automorphism._of_canonical
+    for sides in ((gm.as_double_stack(phis), gm.as_double_stack(psis)), (phis, psis)):
+        stacked = pm.symmetry_residuals(f, *sides, sample_count=64, seed=29)
+        for phi, psi, got in zip(*sides, stacked):
+            one = pm.verify_symmetry_pair(f, wrap(phi), wrap(psi), sample_count=64,
+                                          seed=29).residual
             assert same_bits(got, one)
             assert same_bits(one, _pair_residual_reference(f, phi, psi, 64, 29))
 
@@ -535,13 +535,24 @@ def test_fd_tolerance_is_per_chain():
     pm.jet_at_zero(pm.siegel_conjugate(h_maps[:3] + h_maps[4:]), fd_tol=np.delete(tol, 3))
 
 
+def test_nan_chain_fails_the_jet_check():
+    # a NaN disagreement fails the check, as one above the tolerance does
+    f = pm.as_transformed(bm.catalog("linear", m=2, M=4))
+    pres = np.stack([f.pre.matrix] * 3)
+    pres[1, 0, 1] = np.nan
+    stack = pm.siegel_chains(f.core, pres, np.stack([f.post.matrix] * 3))
+    with pytest.raises(NumericError, match="disagrees with finite differences: nan") as info, \
+            np.errstate(invalid="ignore"):
+        pm.jet_at_zero(stack)
+    assert info.value.chain == 1
+
+
 def test_build_sequence_raises_the_first_failure_in_index_order():
     # index 0 (t = 16) fails in its conjugation residual, index 1 (t = 19) at
     # the flow cap; a build of one index at a time meets the numeric failure
     # first, and so must the stacked build
     f = bm.catalog("linear", m=3, M=5)
-    pairs = rs.cartan_sequence(3, 5, [16, 19])
-    phis, psis = [p for p, _ in pairs], [q for _, q in pairs]
+    phis, psis = rs.cartan_sequence(3, 5, [16, 19])
     with pytest.raises(InputError, match="exceeds the cap"):
         rs.build_sequence(f, phis[1:], psis[1:], allow_non_escaping=True)
     with pytest.raises(NumericError) as alone:
