@@ -34,8 +34,12 @@ def _parse_complex_vector(text):
         raise InputError(f"cannot parse complex vector {text!r}: {exc}") from exc
 
 
-def _json_to_complex(nested):
+def _json_to_complex(nested, non_finite="a non-finite entry"):
+    """The complex array of nested [re, im] pairs; ValueError(non_finite) on
+    an entry that is not finite, before 1j * inf can warn in the product."""
     arr = np.asarray(nested, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(non_finite)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -45,10 +49,7 @@ def _load_matrix(path):
     if isinstance(doc, dict):
         doc = doc.get("matrix")
     try:
-        parts = np.asarray(doc, dtype=float)
-        if not np.isfinite(parts).all():
-            raise ValueError("a non-finite entry")
-        return _json_to_complex(parts)
+        return _json_to_complex(doc)
     except (TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed matrix file {path}: {exc}") from exc
 
@@ -58,7 +59,7 @@ def _load_curve(path):
         doc = json.load(fh)
     try:
         return kb.SampledCurve(doc["model"], np.asarray(doc["params"], dtype=float),
-                               _json_to_complex(doc["points"]))
+                               _json_to_complex(doc["points"], "curve points must be finite"))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise

@@ -12,7 +12,7 @@ finite-difference pass cross-checks every jet.
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -284,6 +284,8 @@ def symmetry_residuals(f, phis, psis, sample_count=128, seed=3):
     f = as_transformed(f)
     if phis.shape[1:] != (f.m + 1,) * 2 or psis.shape[1:] != (f.M + 1,) * 2:
         raise InputError("symmetry pair dimensions must match the map")
+    if len(phis) != len(psis):
+        raise InputError(f"symmetry pair stacks differ in length: {len(phis)} phi, {len(psis)} psi")
     pts = interior_points(rng_from_seed(seed), sample_count, f.m, max_norm=0.95)
     lhs = gm._mobius_apply(psis, f.eval(pts))
     moved = gm._mobius_apply(phis, pts)
@@ -541,40 +543,53 @@ def siegel_conjugate(f):
 
 @dataclass(frozen=True)
 class JetExpansion:
-    """Value, first and second complex derivatives of a map at a base point.
+    """Value, first and second complex derivatives at the Siegel origin of one
+    map, or of a stack of maps along the leading axes of every field.
 
     `second` holds true second partials, symmetric in its last two slots.
     `error_norm` is the worst finite-difference disagreement, measured
-    relative to max(1, |coefficient|).
+    relative to max(1, |coefficient|): a float for one map, one value per map
+    for a stack.  Indexing slices every field.
     """
 
-    base: gm.SiegelPoint
     value: np.ndarray
     first: np.ndarray
     second: np.ndarray
-    error_norm: float = field(default=0.0, compare=False)
+    error_norm: float | np.ndarray = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        value = np.asarray(self.value, dtype=np.complex128).reshape(-1)
+        value = np.asarray(self.value, dtype=np.complex128)
         first = np.asarray(self.first, dtype=np.complex128)
         second = np.asarray(self.second, dtype=np.complex128)
-        M = value.shape[0]
-        if first.shape[0] != M or second.shape[0] != M or second.shape[1:] != (first.shape[1],) * 2:
+        if (first.ndim < 2 or value.shape != first.shape[:-1]
+                or second.shape != first.shape + first.shape[-1:]
+                or np.shape(self.error_norm) not in ((), value.shape[:-1])):
             raise InputError("jet arrays have inconsistent shapes")
-        second = 0.5 * (second + second.transpose(0, 2, 1))
+        # one error per map: a scalar spreads over a stack, read-only
+        error_norm = np.broadcast_to(np.asarray(self.error_norm, dtype=np.float64),
+                                     value.shape[:-1])
+        second = 0.5 * (second + second.swapaxes(-1, -2))
         for arr in (value, first, second):
             arr.setflags(write=False)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
+        object.__setattr__(self, "error_norm", error_norm if error_norm.ndim else float(error_norm))
+
+    def __getitem__(self, rows):
+        # the rows as they are, not symmetrized a second time
+        jet = object.__new__(JetExpansion)
+        for fl in fields(self):
+            object.__setattr__(jet, fl.name, getattr(self, fl.name)[rows])
+        return jet
 
     @property
     def M(self):
-        return self.value.shape[0]
+        return self.value.shape[-1]
 
     @property
     def m(self):
-        return self.first.shape[1]
+        return self.first.shape[-1]
 
 
 def _fd_jet(g, step):
@@ -621,7 +636,7 @@ def jet_at_zero(g, *, fd_tol=1e-4):
     accordingly; the finite-difference oracle, not the chain rule, is the
     side that degrades.
 
-    A stack of n chains (g.shape == (n,)) gives a tuple of n expansions from
+    A stack of n chains (g.shape == (n,)) gives one stacked expansion from
     one fold and one stencil evaluation; fd_tol is then a scalar or one
     tolerance per chain, and each chain is checked against its own.
     """
@@ -639,11 +654,7 @@ def jet_at_zero(g, *, fd_tol=1e-4):
         raise NumericError(
             f"chain-rule jet disagrees with finite differences: {err.flat[over[0]]:.3g}",
             chain=int(over[0]))
-    base = gm.SiegelPoint(np.zeros(g.m, dtype=complex))
-    if not lead:
-        return JetExpansion(base, value, first, second, error_norm=float(err))
-    return tuple(JetExpansion(base, v, f1, f2, error_norm=float(e))
-                 for v, f1, f2, e in zip(value, first, second, err))
+    return JetExpansion(value, first, second, error_norm=err)
 
 
 def jet_quadratic_eval(jet, pts):

@@ -76,18 +76,12 @@ class ScalingProfile:
 
 
 def scaling_profile(m, M):
-    first = np.zeros((M, m))
-    first[0, 1:] = 0.5
-    first[1:, 0] = -0.5
-    second = np.zeros((M, m, m))
-    second[0, 0, 0] = -1.0
-    second[0, 0, 1:] = -0.5
-    second[0, 1:, 0] = -0.5
-    second[1:, 1:, 1:] = -0.5
-    second[1:, 0, :] = -1.0
-    second[1:, :, 0] = -1.0
-    second[1:, 0, 0] = -1.5
-    return ScalingProfile(first, second)
+    """The table from the dilation's weights w = (1, 1/2, ..., 1/2) on C^m and
+    w' on C^M: coefficient (j, k) scales by w'_j - w_k, (j, k, l) by
+    w'_j - w_k - w_l."""
+    w, w_target = (np.r_[1.0, np.full(d - 1, 0.5)] for d in (m, M))
+    first = w_target[:, None] - w
+    return ScalingProfile(first, first[:, :, None] - w)
 
 
 def scaling_factors(query, t, m, M):
@@ -124,7 +118,7 @@ def _certify_pairs(f, phis, psis, tol, seed):
     worst = float(np.max(residuals))  # NaN if any residual is NaN
     if not worst <= tol:
         raise SymmetryError("sequence is not certified in the symmetry group of the map", worst)
-    return residuals.tolist()
+    return residuals
 
 
 def _recentre(f, psis):
@@ -219,35 +213,40 @@ def escape_check(phis, psis=None, *, f=None):
 # --- trace construction ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class TraceIndex:
-    """Everything recorded at one sequence index."""
-
-    order: int
-    t_n: float
-    k_n: gm.Automorphism
-    l_n: gm.Automorphism
-    alpha_n: gm.Automorphism
-    beta_n: gm.Automorphism
-    h_jet: pm.JetExpansion
-    g_jet: pm.JetExpansion
-    phi_gap: float
-    psi_gap: float
-    compactness_dist: float
-    g_value_norm: float
-    symmetry_residual: float | None = None
-    conjugation_residual: float | None = None
-
-
-@dataclass(frozen=True)
 class RescalingTrace:
+    """The recentred maps of every sequence index, one column per field with
+    a row per index (the row number is the index's order).
+
+    The float columns are (n,) arrays; k_n, l_n, alpha_n and beta_n are
+    stacks of wide canonical matrices; h_jet and g_jet are stacked jets.  A
+    residual column not measured in the trace's mode is None.
+    """
+
     m: int
     M: int
     mode: str  # 'sequence' (g_n from the pair) or 'conjugate' (g_n by flow conjugation)
-    indices: tuple
     map_normalized: pm.TransformedMap
+    t_n: np.ndarray
+    phi_gap: np.ndarray
+    psi_gap: np.ndarray
+    compactness_dist: np.ndarray
+    g_value_norm: np.ndarray
+    k_n: np.ndarray
+    l_n: np.ndarray
+    alpha_n: np.ndarray
+    beta_n: np.ndarray
+    h_jet: pm.JetExpansion
+    g_jet: pm.JetExpansion
+    symmetry_residual: np.ndarray | None = None
+    conjugation_residual: np.ndarray | None = None
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def __len__(self):
-        return len(self.indices)
+        return self.t_n.shape[0]
 
 
 def build_sequence(f, phis, psis=None, *, conjugate=False,
@@ -276,11 +275,11 @@ def build_sequence(f, phis, psis=None, *, conjugate=False,
         raise DiagnosticError(
             f"sequence does not escape to the boundary (final gap {report.phi_gaps[-1]:.3g})")
 
-    residuals = [None] * len(wide)
+    residuals = None
     if not conjugate:
         residuals = _certify_pairs(f, phis, psis, membership_tol, seed)
     elif psis is not None:
-        residuals = _pair_residuals(f, phis, psis, seed).tolist()
+        residuals = _pair_residuals(f, phis, psis, seed)
 
     conj_pts = siegel_interior_points(rng_from_seed(seed), 20, f.m, scale=0.25)
     frames, failure = _frames(f, wide, phi0, psi0, None if conjugate else psis)
@@ -289,30 +288,18 @@ def build_sequence(f, phis, psis=None, *, conjugate=False,
         if len(frames):
             _frame_jets_in_order(f, frames, conj_pts, conjugate)
         raise failure
-    columns = _frame_jets_in_order(f, frames, conj_pts, conjugate)
-    alphas = gm.inverses(frames.pre_g)
-    wrap = gm.Automorphism._of_canonical
-    indices = []
-    for i, (t_n, h_jet, g_jet, conj_residual, compactness) in enumerate(
-            zip(frames.t.astype(np.float64).tolist(), *columns)):
-        indices.append(TraceIndex(
-            order=i,
-            t_n=t_n,
-            k_n=wrap(frames.k_n[i]),
-            l_n=wrap(frames.l_n[i]),
-            alpha_n=wrap(alphas[i]),
-            beta_n=wrap(frames.post_g[i]),
-            h_jet=h_jet,
-            g_jet=g_jet,
-            phi_gap=report.phi_gaps[i],
-            psi_gap=report.psi_gaps[i],
-            compactness_dist=compactness,
-            g_value_norm=float(np.linalg.norm(g_jet.value)),
-            symmetry_residual=residuals[i],
-            conjugation_residual=conj_residual,
-        ))
-    return RescalingTrace(f.m, f.M, "conjugate" if conjugate else "sequence",
-                          tuple(indices), f)
+    h_jet, g_jet, conj_residuals, compactness = _frame_jets_in_order(f, frames, conj_pts, conjugate)
+    # per row, the norm np.linalg.norm takes of one vector: two dot products
+    re, im = g_jet.value.real, g_jet.value.imag
+    g_value_norm = np.sqrt((re[:, None, :] @ re[:, :, None])[:, 0, 0]
+                           + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    return RescalingTrace(
+        f.m, f.M, "conjugate" if conjugate else "sequence", f,
+        t_n=frames.t.astype(np.float64), phi_gap=np.array(report.phi_gaps),
+        psi_gap=np.array(report.psi_gaps), compactness_dist=compactness,
+        g_value_norm=g_value_norm, k_n=frames.k_n, l_n=frames.l_n,
+        alpha_n=gm.inverses(frames.pre_g), beta_n=frames.post_g, h_jet=h_jet, g_jet=g_jet,
+        symmetry_residual=residuals, conjugation_residual=conj_residuals)
 
 
 @dataclass(frozen=True)
@@ -416,7 +403,7 @@ def _frame_jets_in_order(f, frames, conj_pts, conjugate):
 
 
 def _frame_jets(f, frames, conj_pts, conjugate):
-    """Per-index columns (h jets, g jets, conjugation residuals, compactness
+    """The columns (h jets, g jets, conjugation residuals or None, compactness
     distances): one stacked jet pass for all h_n and one for all g_n."""
     n = len(frames)
     h_ends, g_ends, conj_ends = _chain_ends(f, frames)
@@ -428,16 +415,15 @@ def _frame_jets(f, frames, conj_pts, conjugate):
     g_tols = np.maximum(1e-4, 1e5 * eps_wide * _conditioning(frames) / pm.FD_STEP**2)
     g_jets = pm.jet_at_zero(pm.siegel_chains(f.core, *g_ends), fd_tol=g_tols)
 
-    conj_residuals = [None] * n
+    conj_residuals = None
     if not conjugate:
         chains = pm.siegel_chains(f.core, *(np.concatenate(pair) for pair in zip(g_ends, conj_ends)))
         values = chains.eval(conj_pts)
-        diff = values[:n] - values[n:]
-        conj_residuals = np.max(np.linalg.norm(diff, axis=-1), axis=-1).tolist()
+        conj_residuals = np.max(np.linalg.norm(values[:n] - values[n:], axis=-1), axis=-1)
 
     compact_pts = gm._mobius_apply(frames.post_conj, frames.psi0[:, None, :])
     compactness = kb.dist_rows(np.zeros((n, f.M)), compact_pts[:, 0].astype(np.complex128))
-    return h_jets, g_jets, conj_residuals, compactness.tolist()
+    return h_jets, g_jets, conj_residuals, compactness
 
 
 def _conditioning(frames):
@@ -456,16 +442,15 @@ def verify_scaling_law(trace):
     arithmetic error; anything above ~1e-8 indicates a defect.
     """
     profile = scaling_profile(trace.m, trace.M)
+    s = SIEGEL_PARAMETER_RATIO * trace.t_n
     worst = 0.0
-    for idx in trace.indices:
-        s = SIEGEL_PARAMETER_RATIO * idx.t_n
-        for exps, g_arr, h_arr in (
-            (profile.first_exponents, idx.g_jet.first, idx.h_jet.first),
-            (profile.second_exponents, idx.g_jet.second, idx.h_jet.second),
-        ):
-            expected = np.exp(exps * s) * h_arr
-            denom = np.maximum(1.0, np.maximum(np.abs(g_arr), np.abs(expected)))
-            worst = max(worst, float(np.max(np.abs(g_arr - expected) / denom)))
+    for exps, g_arr, h_arr in (
+        (profile.first_exponents, trace.g_jet.first, trace.h_jet.first),
+        (profile.second_exponents, trace.g_jet.second, trace.h_jet.second),
+    ):
+        expected = np.exp(exps * s.reshape(s.shape + (1,) * exps.ndim)) * h_arr
+        denom = np.maximum(1.0, np.maximum(np.abs(g_arr), np.abs(expected)))
+        worst = max(worst, float(np.max(np.abs(g_arr - expected) / denom)))
     return worst
 
 
@@ -485,14 +470,13 @@ class ConvergenceReport:
 
 
 def _suppressed_magnitude(jet, profile):
-    vals = [0.0]
-    mask1 = profile.first_exponents < 0
-    mask2 = profile.second_exponents < 0
-    if mask1.any():
-        vals.append(float(np.max(np.abs(jet.first[mask1]))))
-    if mask2.any():
-        vals.append(float(np.max(np.abs(jet.second[mask2]))))
-    return max(vals)
+    """Per row of a stacked jet, the largest coefficient the table suppresses."""
+    vals = [np.zeros(jet.value.shape[0])]
+    for arr, exps in ((jet.first, profile.first_exponents), (jet.second, profile.second_exponents)):
+        suppressed = exps < 0
+        if suppressed.any():
+            vals.append(np.max(np.abs(arr[:, suppressed]), axis=-1))
+    return np.maximum.reduce(vals)
 
 
 def extract_limit_jet(trace, tail=3):
@@ -505,25 +489,20 @@ def extract_limit_jet(trace, tail=3):
         raise InputError("tail must be at least 1")
     if len(trace) < tail + 1:
         raise InputError(f"need at least {tail + 1} trace indices for tail={tail}")
-    window = trace.indices[-(tail + 1):]
-    diffs = []
-    for a, b in zip(window[:-1], window[1:]):
-        diffs.append(max(
-            float(np.max(np.abs(b.g_jet.value - a.g_jet.value))),
-            float(np.max(np.abs(b.g_jet.first - a.g_jet.first))),
-            float(np.max(np.abs(b.g_jet.second - a.g_jet.second))),
-        ))
-    profile = scaling_profile(trace.m, trace.M)
-    suppressed = [_suppressed_magnitude(idx.g_jet, profile) for idx in window]
-    normalized = [s / math.exp(-SIEGEL_PARAMETER_RATIO * idx.t_n / 2.0)
-                  for s, idx in zip(suppressed, window)]
+    window = trace.g_jet[-(tail + 1):]
+    diffs = np.maximum.reduce([
+        np.max(np.abs(np.diff(arr, axis=0)).reshape(tail, -1), axis=-1)
+        for arr in (window.value, window.first, window.second)]).tolist()
+    suppressed = _suppressed_magnitude(window, scaling_profile(trace.m, trace.M)).tolist()
+    normalized = [s / math.exp(-SIEGEL_PARAMETER_RATIO * t_n / 2.0)
+                  for s, t_n in zip(suppressed, trace.t_n[-(tail + 1):].tolist())]
     decay_ok = suppressed[-1] <= max(1.05 * suppressed[0], 1e-8)
     if len(diffs) > 1 and all(d2 > d1 for d1, d2 in zip(diffs[:-1], diffs[1:])) \
             and diffs[-1] > 1e-6:
         raise DiagnosticError("g_n jets diverge along the tail; no limit can be extracted")
     report = ConvergenceReport(tail, tuple(diffs), tuple(suppressed),
                                tuple(normalized), bool(decay_ok))
-    return trace.indices[-1].g_jet, report
+    return trace.g_jet[-1], report
 
 
 # --- the quadratic normal form ---------------------------------------------------
@@ -739,7 +718,7 @@ def run_pipeline(f, phis, psis=None, *, conjugate=False, tail=3,
     if morse_trials > 0:
         with _Stage("radial_bound"):
             constants = pm.radial_bound_constants(f_n, morse_trials, 53)
-            within = all(idx.compactness_dist <= constants.bound for idx in trace.indices)
+            within = bool(np.all(trace.compactness_dist <= constants.bound))
     return PipelineResult(f_n, trace, scaling_error, limit_jet, convergence,
                           nf, final, constants, within)
 
@@ -751,12 +730,11 @@ def _complex_to_json(arr):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _jets_to_json(jets):
-    """Each jet's document, its arrays converted in one pass per field."""
-    columns = [_complex_to_json(np.stack([getattr(jet, name) for jet in jets]))
-               for name in ("value", "first", "second")]
-    return [{"value": value, "first": first, "second": second, "error_norm": jet.error_norm}
-            for jet, value, first, second in zip(jets, *columns)]
+def _jets_to_json(jet):
+    """The document of each row of a stacked jet, its fields converted once."""
+    columns = [_complex_to_json(getattr(jet, name)) for name in ("value", "first", "second")]
+    return [{"value": value, "first": first, "second": second, "error_norm": error_norm}
+            for value, first, second, error_norm in zip(*columns, jet.error_norm.tolist())]
 
 
 def trace_document(result):
@@ -765,12 +743,22 @@ def trace_document(result):
     Floats are emitted through repr and so round-trip exactly.
     """
     trace = result.trace
+    n = len(trace)
+    floats = ("t_n", "phi_gap", "psi_gap", "compactness_dist", "g_value_norm",
+              "symmetry_residual", "conjugation_residual")
+    columns = {"order": range(n)}
+    columns.update((name, [None] * n if getattr(trace, name) is None
+                    else getattr(trace, name).tolist()) for name in floats)
+    # the frame stacks are wide; each is rounded to double as one stack
+    columns.update((name, _complex_to_json(gm.as_double_stack(getattr(trace, name))))
+                   for name in ("k_n", "l_n", "alpha_n", "beta_n"))
+    columns.update((name, _jets_to_json(getattr(trace, name))) for name in ("h_jet", "g_jet"))
     doc = {
         "format": TRACE_FORMAT,
         "m": trace.m,
         "M": trace.M,
         "mode": trace.mode,
-        "indices": [],
+        "indices": [dict(zip(columns, row)) for row in zip(*columns.values())],
         "scaling_law_error": result.scaling_error,
         "convergence": {
             "tail": result.convergence.tail,
@@ -793,29 +781,6 @@ def trace_document(result):
             "unitarity_defect": result.final.unitarity_defect,
         },
     }
-    indices = trace.indices
-    # each frame field's as_double() matrices, rounded as one stack (all are wide)
-    columns = [_complex_to_json(gm.as_double_stack(np.stack([getattr(idx, name).matrix
-                                                             for idx in indices])))
-               for name in ("k_n", "l_n", "alpha_n", "beta_n")]
-    columns += [_jets_to_json([getattr(idx, name) for idx in indices]) for name in ("h_jet", "g_jet")]
-    for idx, k_n, l_n, alpha_n, beta_n, h_jet, g_jet in zip(indices, *columns):
-        doc["indices"].append({
-            "order": idx.order,
-            "t_n": idx.t_n,
-            "phi_gap": idx.phi_gap,
-            "psi_gap": idx.psi_gap,
-            "compactness_dist": idx.compactness_dist,
-            "g_value_norm": idx.g_value_norm,
-            "symmetry_residual": idx.symmetry_residual,
-            "conjugation_residual": idx.conjugation_residual,
-            "k_n": k_n,
-            "l_n": l_n,
-            "alpha_n": alpha_n,
-            "beta_n": beta_n,
-            "h_jet": h_jet,
-            "g_jet": g_jet,
-        })
     if result.constants is not None:
         doc["constants"] = {
             "C": result.constants.C,

@@ -198,7 +198,7 @@ def test_c8_negative_controls(tmp_path, capsys):
         jet = result.limit_jet
         first = jet.first.copy()
         first[1, 0] = 0.1
-        bad = pm.JetExpansion(jet.base, jet.value, first, jet.second)
+        bad = pm.JetExpansion(jet.value, first, jet.second)
         with pytest.raises(PatternViolationError) as info:
             rs.quadratic_normal_form(bad)
         assert info.value.coefficient_class == "first j>=2,k=1"

@@ -366,9 +366,12 @@ class TestHausdorffCommand:
         assert out.split()[0] == "0"
 
     @pytest.mark.parametrize("model,bad", [("ball", "[0, NaN]"), ("siegel", "[0, NaN]"),
-                                           ("siegel", "[Infinity, 0.5]")])
+                                           ("siegel", "[Infinity, 0.5]"),
+                                           ("ball", "[0, Infinity]")])
     def test_non_finite_point_exit(self, capsys, tmp_path, model, bad):
-        # json.load reads NaN and Infinity, which pass "gap <= 0" and "rho <= 0" tests
+        # json.load reads NaN and Infinity, which pass "gap <= 0" and "rho <= 0" tests;
+        # an infinite imaginary part is refused before 1j * inf warns (warnings are
+        # errors in this suite)
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"model": model, "params": [0, 1],
                                     "points": [[[0, 0.1]], [[0, 0.5]]]}))

@@ -138,6 +138,12 @@ class TestSymmetryPairs:
         assert pair.residual > 0.1
         assert not pair.certified
 
+    def test_stacks_of_unequal_length_rejected(self):
+        psis = bm.block_extend(gm.cartans(np.arange(1.0, 6.0), 2), 4)
+        phis = gm.cartans(np.arange(1.0, 4.0), 2)
+        with pytest.raises(InputError, match="differ in length: 3 phi, 5 psi"):
+            pm.symmetry_residuals(bm.catalog("linear", m=2, M=4), phis, psis)
+
 
 class TestBlockExtend:
     def test_identity(self):

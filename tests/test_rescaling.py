@@ -60,6 +60,32 @@ class TestScalingFactors:
         assert set(np.unique(profile.first_exponents)) <= {0.0, 0.5, -0.5}
         assert set(np.unique(profile.second_exponents)) <= {0.0, -0.5, -1.0, -1.5}
 
+    @staticmethod
+    def hand_set_profile(m, M):
+        """The table as it was written out entry class by entry class."""
+        first = np.zeros((M, m))
+        first[0, 1:] = 0.5
+        first[1:, 0] = -0.5
+        second = np.zeros((M, m, m))
+        second[0, 0, 0] = -1.0
+        second[0, 0, 1:] = -0.5
+        second[0, 1:, 0] = -0.5
+        second[1:, 1:, 1:] = -0.5
+        second[1:, 0, :] = -1.0
+        second[1:, :, 0] = -1.0
+        second[1:, 0, 0] = -1.5
+        return first, second
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_table_from_weights_equals_hand_set_table(self, m):
+        for M in range(1, 9):
+            profile = rs.scaling_profile(m, M)
+            first, second = self.hand_set_profile(m, M)
+            for got, want in ((profile.first_exponents, first),
+                              (profile.second_exponents, second)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (m, M)
+
 
 class TestNormalizeMap:
     def test_linear_already_normalized(self):
@@ -144,42 +170,42 @@ class TestEscapeCheck:
 
 class TestBuildSequence:
     def test_flow_parameter_matches_orbit(self, linear_trace):
-        for i, idx in enumerate(linear_trace.indices[:5]):
+        for i in range(5):
             phi0 = np.tanh(float(i + 1))
-            assert abs(idx.t_n - np.arctanh(phi0)) <= 1e-12
+            assert abs(linear_trace.t_n[i] - np.arctanh(phi0)) <= 1e-12
 
     def test_rotations_trivial_for_cartan(self, linear_trace):
-        for idx in linear_trace.indices:
-            assert np.abs(idx.k_n.as_double().matrix - np.eye(3)).max() <= 1e-14
-            assert np.abs(idx.l_n.as_double().matrix - np.eye(5)).max() <= 1e-14
+        for i in range(len(linear_trace)):
+            assert np.abs(gm.as_double_stack(linear_trace.k_n)[i] - np.eye(3)).max() <= 1e-14
+            assert np.abs(gm.as_double_stack(linear_trace.l_n)[i] - np.eye(5)).max() <= 1e-14
 
     def test_g_jets_constant_linear(self, linear_trace):
         expected_first = np.vstack([np.eye(2), np.zeros((2, 2))])
-        for idx in linear_trace.indices:
-            assert np.abs(idx.g_jet.first - expected_first).max() <= 1e-10
-            assert np.abs(idx.g_jet.second).max() <= 1e-10
+        for i in range(len(linear_trace)):
+            assert np.abs(linear_trace.g_jet.first[i] - expected_first).max() <= 1e-10
+            assert np.abs(linear_trace.g_jet.second[i]).max() <= 1e-10
 
     def test_boundary_value_invariant(self, linear_trace, whitney_trace):
         # g_n(e1) = e1' reads as value 0 at 0 in Siegel coordinates
         for trace in (linear_trace, whitney_trace):
-            for idx in trace.indices:
-                assert idx.g_value_norm <= 1e-10
+            for i in range(len(trace)):
+                assert trace.g_value_norm[i] <= 1e-10
 
     def test_compactness_zero_for_linear(self, linear_trace):
-        for idx in linear_trace.indices:
-            assert idx.compactness_dist <= 1e-9
+        for i in range(len(linear_trace)):
+            assert linear_trace.compactness_dist[i] <= 1e-9
 
     def test_conjugation_identity(self, linear_trace):
-        for idx in linear_trace.indices:
-            assert idx.conjugation_residual <= 1e-9
+        for i in range(len(linear_trace)):
+            assert linear_trace.conjugation_residual[i] <= 1e-9
 
     def test_symmetry_residuals_recorded(self, linear_trace, whitney_trace):
-        assert all(idx.symmetry_residual <= 1e-9 for idx in linear_trace.indices)
-        assert all(idx.symmetry_residual is None for idx in whitney_trace.indices)
+        assert all(linear_trace.symmetry_residual[i] <= 1e-9 for i in range(len(linear_trace)))
+        assert whitney_trace.symmetry_residual is None
 
     def test_escape_gaps_positive(self, linear_trace):
-        for idx in linear_trace.indices:
-            assert idx.phi_gap > 0 and idx.psi_gap > 0
+        for i in range(len(linear_trace)):
+            assert linear_trace.phi_gap[i] > 0 and linear_trace.psi_gap[i] > 0
 
     def test_missing_psi_in_sequence_mode(self):
         phis, _ = rs.cartan_sequence(2, 4, range(1, 5))
@@ -247,16 +273,11 @@ class TestLimitExtraction:
             rs.extract_limit_jet(linear_trace, tail=len(linear_trace))
 
     def test_divergent_tail_diagnostic(self, linear_trace):
-        indices = list(linear_trace.indices)
+        jet = linear_trace.g_jet
+        first = jet.first.copy()
         for i, scale in enumerate((1e-1, 1e-2, 1e-3), start=1):
-            idx = indices[-i]
-            jet = idx.g_jet
-            first = jet.first.copy()
-            first[0, 0] += scale  # growth toward the tail end
-            indices[-i] = replace(idx, g_jet=pm.JetExpansion(
-                jet.base, jet.value, first, jet.second))
-        bad = rs.RescalingTrace(linear_trace.m, linear_trace.M, linear_trace.mode,
-                                tuple(indices), linear_trace.map_normalized)
+            first[-i, 0, 0] += scale  # growth toward the tail end
+        bad = replace(linear_trace, g_jet=pm.JetExpansion(jet.value, first, jet.second))
         with pytest.raises(DiagnosticError):
             rs.extract_limit_jet(bad, tail=3)
 
@@ -273,7 +294,7 @@ class TestQuadraticNormalForm:
         jet, _ = rs.extract_limit_jet(linear_trace, tail=3)
         first = jet.first.copy()
         first[1, 0] = 0.1
-        bad = pm.JetExpansion(jet.base, jet.value, first, jet.second)
+        bad = pm.JetExpansion(jet.value, first, jet.second)
         with pytest.raises(PatternViolationError) as info:
             rs.quadratic_normal_form(bad)
         assert info.value.coefficient_class == "first j>=2,k=1"
@@ -283,7 +304,7 @@ class TestQuadraticNormalForm:
         jet, _ = rs.extract_limit_jet(linear_trace, tail=3)
         second = jet.second.copy()
         second[2, 0, 0] = 0.05
-        bad = pm.JetExpansion(jet.base, jet.value, jet.first, second)
+        bad = pm.JetExpansion(jet.value, jet.first, second)
         with pytest.raises(PatternViolationError) as info:
             rs.quadratic_normal_form(bad)
         assert info.value.coefficient_class == "second j>=2,k=l=1"
@@ -301,7 +322,7 @@ class TestQuadraticNormalForm:
             second = scale[2] * (rng.random((M, m, m)) - 0.5) * (1 - 1j)
             first[profile.first_exponents == 0] = 1.0
             second[profile.second_exponents == 0] = 0.3
-            jet = pm.JetExpansion(gm.SiegelPoint(np.zeros(m)), value, first, second)
+            jet = pm.JetExpansion(value, first, second)
             reference = max(
                 [float(np.max(np.abs(jet.value)))]
                 + [float(np.max(np.abs(a[e != 0])))
@@ -313,7 +334,7 @@ class TestQuadraticNormalForm:
         # a doubled radial derivative is a legal form; it fails downstream
         # when the boundary identity compares |Uw| with sqrt(lambda)|w|
         first = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        jet = pm.JetExpansion(gm.SiegelPoint(np.zeros(2)), np.zeros(3),
+        jet = pm.JetExpansion(np.zeros(3),
                               first, np.zeros((3, 2, 2)))
         nf = rs.quadratic_normal_form(jet)
         assert nf.lam == 2.0
@@ -355,7 +376,7 @@ class TestFinalNormalization:
 
     def test_lambda_four_rescaling(self):
         first = np.array([[4.0, 0.0], [0.0, 2.0], [0.0, 0.0]], dtype=complex)
-        jet = pm.JetExpansion(gm.SiegelPoint(np.zeros(2)), np.zeros(3),
+        jet = pm.JetExpansion(np.zeros(3),
                               first, np.zeros((3, 2, 2)))
         nf = rs.quadratic_normal_form(jet)
         assert nf.lam == 4.0
@@ -375,7 +396,7 @@ class TestFinalNormalization:
         nf = rs.QuadraticNormalForm(
             lam=1.0, U=np.vstack([1.1 * np.eye(1), np.zeros((1, 1))]),
             L=np.zeros((1, 1)), residuals=rs.NormalFormResiduals(0.0, 0.0))
-        jet = pm.JetExpansion(gm.SiegelPoint(np.zeros(2)), np.zeros(3),
+        jet = pm.JetExpansion(np.zeros(3),
                               np.zeros((3, 2)), np.zeros((3, 2, 2)))
         with pytest.raises(InputError):
             rs.final_normalization(nf, jet)
@@ -415,10 +436,10 @@ class TestPipeline:
         psis = gm.compose_stacks(shift.matrix, psis, shift_inv.matrix)
         conj = rs.run_pipeline(f_shift, phis, psis, conjugate=True).trace
         seq = rs.run_pipeline(f_shift, phis, psis).trace
-        for c, s in zip(conj.indices, seq.indices):
-            assert c.symmetry_residual <= 1e-9
-            assert c.compactness_dist <= 1e-9
-            assert c.psi_gap == s.psi_gap
+        for i in range(len(conj)):
+            assert conj.symmetry_residual[i] <= 1e-9
+            assert conj.compactness_dist[i] <= 1e-9
+            assert conj.psi_gap[i] == seq.psi_gap[i]
 
     def test_sequence_mode_certifies_each_pair_twice(self, monkeypatch):
         # once on the input pairs (normalize_map), once on the recentred
@@ -507,7 +528,7 @@ class TestPipeline:
         assert doc["format"] == "ballmaps-trace-v1"
         assert len(doc["indices"]) == 6
         # floats written via repr round-trip exactly
-        assert doc["indices"][2]["t_n"] == result.trace.indices[2].t_n
+        assert doc["indices"][2]["t_n"] == result.trace.t_n[2]
         assert doc["normal_form"]["flatten_residual"] == result.final.flatten_residual
         lam_col = doc["normal_form"]["U"]
         assert lam_col[0][0][0] == float(result.normal_form.U[0, 0].real)
@@ -569,9 +590,10 @@ class TestSavedTrace:
         # no pipeline run yields these (without psi_seq the psi gaps come
         # from f(phi_n(0))), but the writer must keep them
         trace = conjugate_result.trace
-        first = replace(trace.indices[0], psi_gap=float("nan"), conjugation_residual=-0.0)
-        result = replace(conjugate_result,
-                         trace=replace(trace, indices=(first,) + trace.indices[1:]))
+        psi_gap = trace.psi_gap.copy()
+        psi_gap[0] = float("nan")
+        result = replace(conjugate_result, trace=replace(
+            trace, psi_gap=psi_gap, conjugation_residual=np.full(len(trace), -0.0)))
         want = rs.trace_document(result)
         path = tmp_path / "t.json"
         got = self.saved(result, path)

@@ -315,27 +315,35 @@ def test_each_product_is_canonicalized_once(dims, seed, conjugate):
 
 
 def _trace_document_reference(result):
-    """The trace document as written before its fields were converted per stack."""
+    """The trace document as written one index at a time, from the rows of
+    the trace's columns."""
     def complex_json(arr):
         a = np.asarray(arr, dtype=np.complex128)
         return np.stack([a.real, a.imag], axis=-1).tolist()
 
-    def jet_json(jet):
-        return {"value": complex_json(jet.value), "first": complex_json(jet.first),
-                "second": complex_json(jet.second), "error_norm": jet.error_norm}
+    def jet_json(jet, i):
+        return {"value": complex_json(jet.value[i]), "first": complex_json(jet.first[i]),
+                "second": complex_json(jet.second[i]), "error_norm": float(jet.error_norm[i])}
 
+    def matrix_json(stack, i):
+        return complex_json(gm.Automorphism._of_canonical(stack[i]).as_double().matrix)
+
+    def residual(column, i):
+        return None if column is None else float(column[i])
+
+    trace = result.trace
     doc = rs.trace_document(result)
     doc["indices"] = [{
-        "order": idx.order, "t_n": idx.t_n, "phi_gap": idx.phi_gap, "psi_gap": idx.psi_gap,
-        "compactness_dist": idx.compactness_dist, "g_value_norm": idx.g_value_norm,
-        "symmetry_residual": idx.symmetry_residual,
-        "conjugation_residual": idx.conjugation_residual,
-        "k_n": complex_json(idx.k_n.as_double().matrix),
-        "l_n": complex_json(idx.l_n.as_double().matrix),
-        "alpha_n": complex_json(idx.alpha_n.as_double().matrix),
-        "beta_n": complex_json(idx.beta_n.as_double().matrix),
-        "h_jet": jet_json(idx.h_jet), "g_jet": jet_json(idx.g_jet),
-    } for idx in result.trace.indices]
+        "order": i, "t_n": float(trace.t_n[i]), "phi_gap": float(trace.phi_gap[i]),
+        "psi_gap": float(trace.psi_gap[i]),
+        "compactness_dist": float(trace.compactness_dist[i]),
+        "g_value_norm": float(np.linalg.norm(trace.g_jet.value[i])),
+        "symmetry_residual": residual(trace.symmetry_residual, i),
+        "conjugation_residual": residual(trace.conjugation_residual, i),
+        "k_n": matrix_json(trace.k_n, i), "l_n": matrix_json(trace.l_n, i),
+        "alpha_n": matrix_json(trace.alpha_n, i), "beta_n": matrix_json(trace.beta_n, i),
+        "h_jet": jet_json(trace.h_jet, i), "g_jet": jet_json(trace.g_jet, i),
+    } for i in range(len(trace))]
     return doc
 
 

@@ -110,7 +110,7 @@ def test_stacked_jets_equal_one_chain_loop(name, kind):
         wide = stack._jet_wide(zero)
         jets = pm.jet_at_zero(stack, fd_tol=np.inf)
         values = stack.eval(conj_pts)
-        assert len(jets) == len(maps) and values.shape[0] == len(maps)
+        assert jets.value.shape[0] == len(maps) and values.shape[0] == len(maps)
         for i, one in enumerate(maps):
             single = pm.siegel_conjugate(one)
             for got, ref in zip(wide, single._jet_wide(zero)):
@@ -120,6 +120,26 @@ def test_stacked_jets_equal_one_chain_loop(name, kind):
                 assert same_bits(getattr(jets[i], field), getattr(ref_jet, field))
             assert same_bits(jets[i].error_norm, ref_jet.error_norm)
             assert same_bits(values[i], single.eval(conj_pts))
+
+
+def test_stacked_jet_rows_equal_single_chain_jets():
+    # a stack gives one expansion with a leading axis, never a tuple; its
+    # error_norm has one value per chain, a lone chain's is a float; a row,
+    # read from a field, indexed or in a slice, has the bits of its chain's jet
+    h_maps, g_maps = chains("whitney", "rotated")
+    for maps in (h_maps, g_maps):
+        jets = pm.jet_at_zero(pm.siegel_conjugate(maps), fd_tol=np.inf)
+        assert isinstance(jets, pm.JetExpansion) and jets.error_norm.shape == (len(maps),)
+        assert (jets.m, jets.M) == (2, 3)
+        tail = jets[2:]
+        for i, one in enumerate(maps):
+            ref = pm.jet_at_zero(pm.siegel_conjugate(one), fd_tol=np.inf)
+            assert type(ref.error_norm) is float
+            for field in ("value", "first", "second", "error_norm"):
+                want = getattr(ref, field)
+                assert same_bits(getattr(jets, field)[i], want), (i, field)
+                assert same_bits(getattr(jets[i], field), want), (i, field)
+                assert i < 2 or same_bits(getattr(tail[i - 2], field), want), (i, field)
 
 
 @pytest.mark.parametrize("double", (False, True))
@@ -153,10 +173,10 @@ def test_phi_gap_is_the_gap_behind_t_n(seed, conjugate):
     phis, psis = sequence(3, 5, "rotated", seed=seed)
     phis, psis = gm.as_double_stack(phis), gm.as_double_stack(psis)
     trace = rs.build_sequence(f, phis, psis, conjugate=conjugate)
-    for idx, phi in zip(trace.indices, phis):
+    for i, phi in enumerate(phis):
         p = origin_image(gm.Automorphism(as_wide_complex(phi)).matrix)
-        assert idx.t_n == float(np.arctanh(np.sqrt((np.abs(p) ** 2).sum().real)))
-        assert idx.phi_gap == float(one_minus_norm(p))
+        assert trace.t_n[i] == float(np.arctanh(np.sqrt((np.abs(p) ** 2).sum().real)))
+        assert trace.phi_gap[i] == float(one_minus_norm(p))
 
 
 def _pair_residual_reference(f, phi, psi, sample_count, seed):
@@ -519,7 +539,7 @@ def test_denominator_scale_is_per_chain():
 def test_fd_tolerance_is_per_chain():
     h_maps, _ = chains("whitney", "rotated")
     stack = pm.siegel_conjugate(h_maps)
-    errs = np.array([jet.error_norm for jet in pm.jet_at_zero(stack, fd_tol=np.inf)])
+    errs = pm.jet_at_zero(stack, fd_tol=np.inf).error_norm
     assert errs.max() > errs.min() > 0.0
     # every chain at its own error passes, though a pooled check would not
     pm.jet_at_zero(stack, fd_tol=errs)
